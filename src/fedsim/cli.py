@@ -44,13 +44,12 @@ from .errors import ConfigError, FedsimError
 from .federation import (
     STRATEGIES,
     FederationConfig,
-    pretrain,
+    initial_model,
     read_reports_csv,
     run_federation,
     write_reports_csv,
 )
 from .rng import derive_seed
-from .selection import STRATEGY_ENTROPY
 
 log = logging.getLogger("fedsim.cli")
 
@@ -212,6 +211,12 @@ class ExperimentConfig:
                 raise ConfigError("dataset.source_offdomain_per_class must be >= 0")
         if not 0.0 < ds["test_fraction"] < 1.0:
             raise ConfigError("dataset.test_fraction must be in (0, 1)")
+        # the files are written side by side and keyed by name in manifests
+        if Path(ds["source_path"]).name == Path(ds["target_path"]).name:
+            raise ConfigError(
+                "dataset.source_path and dataset.target_path must have different "
+                f"file names, both are {Path(ds['source_path']).name!r}"
+            )
         if not self.alpha > 0.0:
             raise ConfigError(f"partition.alpha must be > 0, got {self.alpha}")
         if self.analysis["histogram_bins"] < 2:
@@ -252,6 +257,8 @@ _CONVENIENCE = {
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    if getattr(args, "threads", 1) < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     raw = deepcopy(_DESK_DEFAULT)
     if getattr(args, "preset", None):
         _overlay(raw, deepcopy(PRESETS[args.preset]))
@@ -314,9 +321,13 @@ def write_manifest(
     return path
 
 
-def _resolve(out_dir: Path, path_text: str) -> Path:
-    path = Path(path_text)
-    return path if path.is_absolute() else out_dir / path
+def _dataset_paths(config: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
+    """The source then the target dataset file, keyed by file name.
+
+    Relative paths are taken inside out_dir. The names differ (validated).
+    """
+    paths = [Path(config.dataset[key]) for key in ("source_path", "target_path")]
+    return {p.name: (p if p.is_absolute() else out_dir / p) for p in paths}
 
 
 # --- dataset plumbing -----------------------------------------------------
@@ -356,13 +367,13 @@ def _build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def _load_datasets(config: ExperimentConfig, out_dir: Path) -> tuple[Dataset, Dataset]:
-    source_path = _resolve(out_dir, config.dataset["source_path"])
-    target_path = _resolve(out_dir, config.dataset["target_path"])
-    for path in (source_path, target_path):
+    paths = list(_dataset_paths(config, out_dir).values())
+    for path in paths:
         if not path.exists():
             raise ConfigError(
                 f"dataset file {path} does not exist (run `fedsim generate` first)"
             )
+    source_path, target_path = paths
     return load_dataset(source_path), load_dataset(target_path)
 
 
@@ -397,11 +408,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if config.dataset["kind"] != "synthetic":
         raise ConfigError("generate only applies to dataset.kind = synthetic")
     source, target = _build_datasets(config)
-    source_path = _resolve(out_dir, config.dataset["source_path"])
-    target_path = _resolve(out_dir, config.dataset["target_path"])
+    outputs = _dataset_paths(config, out_dir)
+    source_path, target_path = outputs.values()
     save_dataset(source, source_path)
     save_dataset(target, target_path)
-    outputs = {source_path.name: source_path, target_path.name: target_path}
     write_manifest(out_dir, "generate", config, {}, outputs, started)
     print(f"wrote {source_path} ({len(source)} samples) and {target_path} ({len(target)} samples)")
     return 0
@@ -428,22 +438,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         def selection_hook(round_no: int, client_id: int, result) -> None:
             chosen = set(int(i) for i in result.selected_indices)
-            if result.strategy == STRATEGY_ENTROPY and result.scores is not None:
-                for score in result.scores:
-                    dump_rows.append(
-                        [
-                            round_no,
-                            client_id,
-                            score.sample_index,
-                            _fmt(score.entropy),
-                            int(score.sample_index in chosen),
-                        ]
-                    )
-            else:
-                for idx in partitions[client_id].sample_indices:
-                    dump_rows.append(
-                        [round_no, client_id, int(idx), "", int(int(idx) in chosen)]
-                    )
+            for i, idx in enumerate(partitions[client_id].sample_indices):
+                entropy = "" if result.entropies is None else _fmt(result.entropies[i])
+                dump_rows.append([round_no, client_id, int(idx), entropy, int(int(idx) in chosen)])
 
     reports, final = run_federation(
         config.federation,
@@ -473,30 +470,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         outputs["selection_dump.csv"] = dump_path
 
     if config.analysis["cka"] and len(captured_models) >= 2:
-        models = [m for _, m in sorted(captured_models, key=lambda item: item[0])]
-        ids = [cid for cid, _ in sorted(captured_models, key=lambda item: item[0])]
-        for level in analysis.LAYER_LEVELS:
-            matrix = analysis.pairwise_cka(models, test, level)
-            cka_path = out_dir / f"cka_{level}.csv"
-            _write_cka_csv(matrix, ids, cka_path)
-            outputs[cka_path.name] = cka_path
+        _write_cka(captured_models, test, out_dir, outputs)
 
     if config.analysis["entropy_histogram"]:
-        for rho in config.analysis["histogram_rhos"]:
-            counts = analysis.entropy_histogram(
-                final.model, train, rho, config.analysis["histogram_bins"]
-            )
-            edges = analysis.histogram_edges(
-                train.num_classes, config.analysis["histogram_bins"]
-            )
-            hist_path = out_dir / f"entropy_hist_rho{rho:g}.csv"
-            _write_histogram_csv(counts, edges, hist_path)
-            outputs[hist_path.name] = hist_path
+        _write_entropy_histograms(
+            final.model,
+            train,
+            config.analysis["histogram_rhos"],
+            config.analysis["histogram_bins"],
+            out_dir,
+            outputs,
+        )
 
-    source_path = _resolve(out_dir, config.dataset["source_path"])
-    target_path = _resolve(out_dir, config.dataset["target_path"])
-    inputs = {source_path.name: source_path, target_path.name: target_path}
-    write_manifest(out_dir, "run", config, inputs, outputs, started)
+    write_manifest(out_dir, "run", config, _dataset_paths(config, out_dir), outputs, started)
     best = max((r.test_accuracy for r in reports), default=float("nan"))
     print(
         f"{config.federation.strategy}: {len(reports)} rounds, "
@@ -505,20 +491,54 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_cka_csv(matrix: analysis.CkaMatrix, client_ids: list[int], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([str(c) for c in client_ids])
-        for row in matrix.values:
-            writer.writerow([_fmt(v) for v in row])
+def _write_cka(
+    captured: list[tuple[int, nn.Model]], test: Dataset, out_dir: Path, outputs: dict[str, Path]
+) -> list[analysis.CkaMatrix]:
+    """Write cka_<level>.csv over the client models in client-id order.
+
+    Adds each file to outputs and returns the matrices in LAYER_LEVELS order.
+    """
+    captured = sorted(captured, key=lambda item: item[0])
+    models = [m for _, m in captured]
+    matrices = []
+    for level in analysis.LAYER_LEVELS:
+        matrix = analysis.pairwise_cka(models, test, level)
+        path = out_dir / f"cka_{level}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([str(cid) for cid, _ in captured])
+            for row in matrix.values:
+                writer.writerow([_fmt(v) for v in row])
+        outputs[path.name] = path
+        matrices.append(matrix)
+    return matrices
 
 
-def _write_histogram_csv(counts: np.ndarray, edges: np.ndarray, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_low", "bin_high", "count"])
-        for i, count in enumerate(counts):
-            writer.writerow([_fmt(edges[i]), _fmt(edges[i + 1]), int(count)])
+def _write_entropy_histograms(
+    model: nn.Model,
+    train: Dataset,
+    rhos: tuple[float, ...],
+    bins: int,
+    out_dir: Path,
+    outputs: dict[str, Path],
+) -> list[np.ndarray]:
+    """Write entropy_hist_rho<rho>.csv of the model's predictions on train.
+
+    Adds each file to outputs and returns the bin counts in rhos order.
+    """
+    edges = analysis.histogram_edges(train.num_classes, bins)
+    all_counts = []
+    for rho in rhos:
+        counts = analysis.entropy_histogram(model, train, rho, bins)
+        path = out_dir / f"entropy_hist_rho{rho:g}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["bin_low", "bin_high", "count"])
+            for i, count in enumerate(counts):
+                writer.writerow([_fmt(edges[i]), _fmt(edges[i + 1]), int(count)])
+        outputs[path.name] = path
+        all_counts.append(counts)
+    return all_counts
 
 
 def cmd_analyze_cka(args: argparse.Namespace) -> int:
@@ -544,19 +564,15 @@ def cmd_analyze_cka(args: argparse.Namespace) -> int:
         threads=args.threads,
         client_model_hook=hook,
     )
-    models = [m for _, m in sorted(captured, key=lambda item: item[0])]
-    ids = [cid for cid, _ in sorted(captured, key=lambda item: item[0])]
     outputs: dict[str, Path] = {}
-    for level in analysis.LAYER_LEVELS:
-        matrix = analysis.pairwise_cka(models, test, level)
-        path = out_dir / f"cka_{level}.csv"
-        _write_cka_csv(matrix, ids, path)
-        outputs[path.name] = path
-        print(f"{level}: mean off-diagonal CKA {analysis.mean_offdiagonal(matrix):.4f}")
-    source_path = _resolve(out_dir, config.dataset["source_path"])
-    target_path = _resolve(out_dir, config.dataset["target_path"])
-    inputs = {source_path.name: source_path, target_path.name: target_path}
-    write_manifest(out_dir, "analyze-cka", config, inputs, outputs, started)
+    for matrix in _write_cka(captured, test, out_dir, outputs):
+        print(
+            f"{matrix.layer_level}: mean off-diagonal CKA "
+            f"{analysis.mean_offdiagonal(matrix):.4f}"
+        )
+    write_manifest(
+        out_dir, "analyze-cka", config, _dataset_paths(config, out_dir), outputs, started
+    )
     return 0
 
 
@@ -567,40 +583,18 @@ def cmd_entropy_hist(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     source, train, _test, _partitions = _prepare_run(config, out_dir)
-    master = config.federation.master_seed
-    model = nn.build_mlp(
-        input_dim=train.feature_dim,
-        hidden_sizes=config.federation.hidden_sizes,
-        num_classes=train.num_classes,
-        split_index=config.federation.effective_split_index,
-        seed=derive_seed(master, streams.INIT),
-    )
-    if config.federation.pretrain_epochs > 0:
-        model = pretrain(
-            model,
-            source,
-            config.federation.pretrain_epochs,
-            config.federation.learning_rate,
-            config.federation.momentum,
-            config.federation.batch_size,
-            seed=derive_seed(master, streams.PRETRAIN),
-        )
-    rhos = config.analysis["histogram_rhos"]
-    if args.hist_rhos:
-        rhos = tuple(args.hist_rhos)
+    model = initial_model(config.federation, source, train)
+    rhos = tuple(args.hist_rhos) if args.hist_rhos else config.analysis["histogram_rhos"]
     outputs: dict[str, Path] = {}
-    for rho in rhos:
-        counts = analysis.entropy_histogram(model, train, rho, config.analysis["histogram_bins"])
-        edges = analysis.histogram_edges(train.num_classes, config.analysis["histogram_bins"])
-        path = out_dir / f"entropy_hist_rho{rho:g}.csv"
-        _write_histogram_csv(counts, edges, path)
-        outputs[path.name] = path
+    all_counts = _write_entropy_histograms(
+        model, train, rhos, config.analysis["histogram_bins"], out_dir, outputs
+    )
+    for rho, counts in zip(rhos, all_counts):
         low_half = int(counts[: len(counts) // 2].sum())
         print(f"rho={rho:g}: {low_half}/{int(counts.sum())} samples in the lower half")
-    source_path = _resolve(out_dir, config.dataset["source_path"])
-    target_path = _resolve(out_dir, config.dataset["target_path"])
-    inputs = {source_path.name: source_path, target_path.name: target_path}
-    write_manifest(out_dir, "entropy-hist", config, inputs, outputs, started)
+    write_manifest(
+        out_dir, "entropy-hist", config, _dataset_paths(config, out_dir), outputs, started
+    )
     return 0
 
 
@@ -739,10 +733,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("FEDSIM_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("FEDSIM_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(
+            f"error: FEDSIM_LOG={level!r} is not a logging level "
+            "(use DEBUG, INFO, WARNING, ERROR or CRITICAL)",
+            file=sys.stderr,
+        )
+        return 2
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

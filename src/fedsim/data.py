@@ -112,13 +112,13 @@ def generate_synthetic(
         raise ParameterError(f"class_separation must be >= 0, got {class_separation}")
     mean_rng = derive_rng(seed, 0)
     noise_rng = derive_rng(seed, 1)
-    blocks = []
-    for _ in range(num_classes):
+    features = np.empty((num_classes * samples_per_class, feature_dim))
+    for cls in range(num_classes):
         direction = mean_rng.normal(size=feature_dim)
         direction /= np.linalg.norm(direction)
         mean = class_separation * direction
-        blocks.append(noise_rng.normal(size=(samples_per_class, feature_dim)) + mean)
-    features = np.concatenate(blocks, axis=0)
+        rows = slice(cls * samples_per_class, (cls + 1) * samples_per_class)
+        features[rows] = noise_rng.normal(size=(samples_per_class, feature_dim)) + mean
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     name = f"synthetic-c{num_classes}-d{feature_dim}-sep{class_separation:g}-seed{seed}"
     return Dataset(features, labels, num_classes, name)
@@ -264,8 +264,9 @@ def save_dataset(dataset: Dataset, path) -> None:
             )
         )
         fh.write(name_bytes)
-        fh.write(dataset.features.astype("<f8").tobytes())
-        fh.write(dataset.labels.astype("<u2").tobytes())
+        # from the array's own buffer: a copy here doubled generate's peak memory
+        fh.write(dataset.features.astype("<f8", copy=False))
+        fh.write(dataset.labels.astype("<u2"))
 
 
 def load_dataset(path) -> Dataset:

@@ -19,10 +19,6 @@ class NumericError(FedsimError, ArithmeticError):
     """A computation produced or received non-finite values."""
 
 
-class StateError(FedsimError, RuntimeError):
-    """An operation was called in an invalid order (e.g. stale forward cache)."""
-
-
 class ConfigError(FedsimError, ValueError):
     """An experiment or federation configuration is invalid."""
 

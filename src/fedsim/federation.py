@@ -26,13 +26,7 @@ from . import rng as streams
 from .data import ClientPartition, Dataset, partition_covers
 from .errors import ConfigError, NumericError, ParameterError, ProtocolError
 from .rng import derive_rng, derive_seed
-from .selection import (
-    STRATEGY_ALL,
-    SelectionResult,
-    select_all,
-    select_by_entropy,
-    select_random,
-)
+from .selection import SelectionResult, select_all, select_by_entropy, select_random
 
 log = logging.getLogger("fedsim.federation")
 
@@ -139,14 +133,6 @@ class GlobalModel:
     model: nn.Model
     round: int
 
-    @property
-    def phi(self) -> list[np.ndarray]:
-        return nn.split_params(self.model)[0]
-
-    @property
-    def theta(self) -> list[np.ndarray]:
-        return nn.split_params(self.model)[1]
-
 
 @dataclass
 class ClientUpdate:
@@ -186,7 +172,6 @@ def _run_epochs(
             chosen = order[start : start + batch_size]
             xb = features[chosen]
             yb = labels[chosen]
-            nn.forward(model, xb)
             grads = nn.backward(model, xb, yb)
             if prox_mu != 0.0 and theta_ref is not None:
                 for idx, (dw, db) in grads.by_layer.items():
@@ -227,8 +212,31 @@ def pretrain(
     epoch_seeds = [derive_seed(seed, epoch) for epoch in range(epochs)]
     _run_epochs(trained, source.features, source.labels, epochs, opt, batch_size, epoch_seeds)
     trained.split_index = original_split
-    trained._cache = None
     return trained
+
+
+def initial_model(config: FederationConfig, source: Dataset, train: Dataset) -> nn.Model:
+    """The model a run starts from: built from the master seed, then pretrained.
+
+    The architecture follows `train`, the pretraining data is `source`.
+    """
+    master = config.master_seed
+    model = nn.build_mlp(
+        input_dim=train.feature_dim,
+        hidden_sizes=config.hidden_sizes,
+        num_classes=train.num_classes,
+        split_index=config.effective_split_index,
+        seed=derive_seed(master, streams.INIT),
+    )
+    return pretrain(
+        model,
+        source,
+        config.pretrain_epochs,
+        config.learning_rate,
+        config.momentum,
+        config.batch_size,
+        seed=derive_seed(master, streams.PRETRAIN),
+    )
 
 
 def client_local_update(
@@ -371,24 +379,7 @@ def run_federation(
             raise ConfigError(f"{role} dataset is incompatible with the training pool")
 
     master = config.master_seed
-    model = nn.build_mlp(
-        input_dim=train.feature_dim,
-        hidden_sizes=config.hidden_sizes,
-        num_classes=train.num_classes,
-        split_index=config.effective_split_index,
-        seed=derive_seed(master, streams.INIT),
-    )
-    if config.pretrain_epochs > 0:
-        model = pretrain(
-            model,
-            source,
-            config.pretrain_epochs,
-            config.learning_rate,
-            config.momentum,
-            config.batch_size,
-            seed=derive_seed(master, streams.PRETRAIN),
-        )
-
+    model = initial_model(config, source, train)
     p_ds = config.effective_p_ds
     forward_flops = nn.forward_flops_per_sample(model)
     theta_count = nn.theta_param_count(model)

@@ -18,13 +18,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    NumericError,
-    ParameterError,
-    ShapeError,
-    StateError,
-)
+from .errors import FormatError, NumericError, ParameterError, ShapeError
 
 CHECKPOINT_MAGIC = b"FEDFT1"
 PROB_FLOOR = 1e-12  # clamp applied to probabilities before any log
@@ -87,12 +81,6 @@ Layer = Union[DenseLayer, ReluLayer]
 
 
 @dataclass
-class _ForwardCache:
-    batch: np.ndarray
-    activations: list[np.ndarray]
-
-
-@dataclass
 class Model:
     """Feed-forward network; layers [0, split_index) are frozen.
 
@@ -104,7 +92,6 @@ class Model:
     layers: list[Layer]
     split_index: int
     num_classes: int
-    _cache: _ForwardCache | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -169,12 +156,6 @@ class Gradients:
 
     by_layer: dict[int, tuple[np.ndarray, np.ndarray]]
 
-    def max_abs(self) -> float:
-        worst = 0.0
-        for dw, db in self.by_layer.values():
-            worst = max(worst, float(np.abs(dw).max(initial=0.0)), float(np.abs(db).max(initial=0.0)))
-        return worst
-
 
 @dataclass
 class OptimizerState:
@@ -196,8 +177,6 @@ def forward(model: Model, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     """Run the network on a (n, d) batch.
 
     Returns the (n, num_classes) logits and the list of per-layer outputs.
-    The activations are cached on the model for backward() and for
-    representation probes.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -217,7 +196,6 @@ def forward(model: Model, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     logits = activations[-1]
     if not np.isfinite(logits).all():
         raise NumericError("forward pass produced non-finite logits")
-    model._cache = _ForwardCache(batch=batch, activations=activations)
     return logits, activations
 
 
@@ -264,17 +242,11 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> Gradients:
     """Exact gradients of the mean cross-entropy w.r.t. head parameters.
 
-    Requires a forward() call on the same batch first (the cached
-    activations are reused). Frozen layers receive no gradients.
+    Runs its own forward pass over the batch, so the result depends only on
+    the arguments. Frozen layers receive no gradients.
     """
-    cache = model._cache
-    if cache is None:
-        raise StateError("backward() called before forward()")
     batch = np.asarray(batch, dtype=np.float64)
-    if cache.batch is not batch and not (
-        cache.batch.shape == batch.shape and np.array_equal(cache.batch, batch)
-    ):
-        raise StateError("forward cache is stale for this batch")
+    logits, activations = forward(model, batch)
     labels = np.asarray(labels)
     n = batch.shape[0]
     if n == 0:
@@ -284,7 +256,7 @@ def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> Gradients:
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ParameterError("label out of range for num_classes")
 
-    probs = softmax_with_temperature(cache.activations[-1], 1.0)
+    probs = softmax_with_temperature(logits, 1.0)
     delta = probs.copy()
     delta[np.arange(n), labels] -= 1.0
     delta /= n
@@ -293,12 +265,12 @@ def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> Gradients:
     for i in range(len(model.layers) - 1, model.split_index - 1, -1):
         layer = model.layers[i]
         if isinstance(layer, DenseLayer):
-            layer_input = batch if i == 0 else cache.activations[i - 1]
+            layer_input = batch if i == 0 else activations[i - 1]
             grads[i] = (delta.T @ layer_input, delta.sum(axis=0))
             if i > model.split_index:
                 delta = delta @ layer.weights
         else:
-            delta = delta * (cache.activations[i] > 0.0)
+            delta = delta * (activations[i] > 0.0)
     return Gradients(by_layer=grads)
 
 

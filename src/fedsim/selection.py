@@ -19,30 +19,18 @@ from .data import ClientPartition, Dataset
 from .errors import ParameterError
 from .rng import derive_rng
 
-STRATEGY_ENTROPY = "entropy"
-STRATEGY_RANDOM = "random"
-STRATEGY_ALL = "all"
-
-
-@dataclass(frozen=True)
-class EntropyScore:
-    sample_index: int
-    entropy: float
-
 
 @dataclass
 class SelectionResult:
     """Outcome of one client's per-round data selection.
 
     selected_indices are ascending sample indices into the parent dataset;
-    scores (entropy strategy only) cover every scored sample, selected or
-    not, in ascending sample-index order.
+    entropies (entropy strategy only) holds the score of every sample of the
+    client, selected or not, aligned with client.sample_indices.
     """
 
     selected_indices: np.ndarray
-    scores: list[EntropyScore] | None
-    strategy: str
-    p_ds: float
+    entropies: np.ndarray | None
 
 
 def selection_count(n: int, p_ds: float) -> int:
@@ -101,17 +89,7 @@ def select_by_entropy(
     logits, _ = nn.forward(model, dataset.features[indices])
     probs = nn.softmax_with_temperature(logits, rho)
     entropies = entropy_rows(probs)
-    selected = top_k_by_entropy(indices, entropies, k)
-    scores = [
-        EntropyScore(sample_index=int(idx), entropy=float(h))
-        for idx, h in zip(indices, entropies)
-    ]
-    return SelectionResult(
-        selected_indices=selected,
-        scores=scores,
-        strategy=STRATEGY_ENTROPY,
-        p_ds=p_ds,
-    )
+    return SelectionResult(top_k_by_entropy(indices, entropies, k), entropies)
 
 
 def select_random(client: ClientPartition, p_ds: float, round_seed: int) -> SelectionResult:
@@ -120,21 +98,11 @@ def select_random(client: ClientPartition, p_ds: float, round_seed: int) -> Sele
     k = selection_count(indices.size, p_ds)
     rng = derive_rng(round_seed, client.client_id)
     picked = rng.choice(indices, size=k, replace=False)
-    return SelectionResult(
-        selected_indices=np.sort(picked),
-        scores=None,
-        strategy=STRATEGY_RANDOM,
-        p_ds=p_ds,
-    )
+    return SelectionResult(np.sort(picked), None)
 
 
 def select_all(client: ClientPartition) -> SelectionResult:
     """Keep everything (p_ds = 1); used when no selection is configured."""
     if client.sample_indices.size < 1:
         raise ParameterError("cannot select from an empty client")
-    return SelectionResult(
-        selected_indices=np.asarray(client.sample_indices, dtype=np.int64).copy(),
-        scores=None,
-        strategy=STRATEGY_ALL,
-        p_ds=1.0,
-    )
+    return SelectionResult(np.asarray(client.sample_indices, dtype=np.int64).copy(), None)

@@ -100,6 +100,22 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
     assert code == 2
 
 
+def test_same_named_dataset_files_are_rejected(tmp_path, capsys):
+    out = tmp_path / "same"
+    paths = ["--dataset.source_path", "same.feds", "--dataset.target_path", "same.feds"]
+    assert run_cli(["generate", "--out", out, "--seed", 5, *TINY, *paths]) == 2
+    assert not (out / "same.feds").exists()
+    assert "file names" in capsys.readouterr().err
+
+
+def test_run_rejects_zero_threads_before_compute(tmp_path, capsys):
+    out = tmp_path / "threads"
+    generate(out)
+    assert run_cli(["run", "--out", out, "--seed", 5, *TINY, "--threads", "0"]) == 2
+    assert not (out / "reports.csv").exists()
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_convenience_flags_land_in_manifest(tmp_path):
     out = tmp_path / "flags"
     generate(out)
@@ -253,3 +269,10 @@ def test_fedsim_log_env_smoke(tmp_path, monkeypatch):
     out = tmp_path / "log"
     generate(out)
     assert run_cli(["run", "--out", out, "--seed", 5, *TINY, "--rounds", "1"]) == 0
+
+
+def test_unknown_fedsim_log_level_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FEDSIM_LOG", "VERBOSE")
+    assert run_cli(["generate", "--out", tmp_path / "log", "--seed", 5, *TINY]) == 2
+    assert "FEDSIM_LOG" in capsys.readouterr().err
+    assert not (tmp_path / "log").exists()

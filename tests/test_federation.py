@@ -244,7 +244,6 @@ def test_fedprox_applies_proximal_pull_on_later_steps():
             ref_w, ref_b = theta_ref[idx]
             layer.weights = layer.weights - lr * (dw + mu * (layer.weights - ref_w))
             layer.bias = layer.bias - lr * (db + mu * (layer.bias - ref_b))
-        replay._cache = None
     for idx in replay.trainable_layer_indices():
         assert np.allclose(model.layers[idx].weights, replay.layers[idx].weights, atol=1e-15)
         assert np.allclose(model.layers[idx].bias, replay.layers[idx].bias, atol=1e-15)

@@ -104,8 +104,7 @@ def test_select_by_entropy_full_fraction_keeps_all_in_order():
     client = random_client(np.random.default_rng(3), len(ds), 12)
     result = selection.select_by_entropy(model, ds, client, 1.0, 0.5)
     assert np.array_equal(result.selected_indices, client.sample_indices)
-    assert result.strategy == "entropy"
-    assert len(result.scores) == 12
+    assert len(result.entropies) == 12
 
 
 def test_select_by_entropy_matches_brute_force_oracle():
@@ -122,6 +121,20 @@ def test_select_by_entropy_matches_brute_force_oracle():
         entropies = [selection.compute_entropy(p) for p in probs]
         expected = brute_force_selection(list(client.sample_indices), entropies, p_ds)
         assert list(result.selected_indices) == expected, f"trial {trial}"
+
+
+def test_select_by_entropy_reports_entropy_of_every_client_sample():
+    ds = data.generate_synthetic(4, 30, 6, 1.5, seed=21)
+    model = nn.build_mlp(6, (10,), 4, split_index=0, seed=22)
+    client = random_client(np.random.default_rng(23), len(ds), 50)
+    rho = 0.3
+    result = selection.select_by_entropy(model, ds, client, 0.4, rho)
+    assert result.entropies.shape == client.sample_indices.shape
+    for i, idx in enumerate(client.sample_indices):
+        logits, _ = nn.forward(model, ds.features[idx : idx + 1])
+        probs = nn.softmax_with_temperature(logits[0], rho)
+        expected = selection.compute_entropy(probs)
+        assert result.entropies[i] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_selection_invariant_to_logit_shift():
@@ -158,8 +171,7 @@ def test_select_random_full_fraction():
     client = ClientPartition(0, np.arange(9))
     result = selection.select_random(client, 1.0, round_seed=5)
     assert np.array_equal(result.selected_indices, np.arange(9))
-    assert result.strategy == "random"
-    assert result.scores is None
+    assert result.entropies is None
 
 
 def test_select_random_count_rule():
