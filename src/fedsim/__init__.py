@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .data import ClientPartition, Dataset, PartitionSpec
-from .federation import FederationConfig, GlobalModel, RoundReport, run_federation
+from .federation import FederationConfig, RoundReport, run_federation
 from .nn import Model
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "Dataset",
     "PartitionSpec",
     "FederationConfig",
-    "GlobalModel",
     "RoundReport",
     "run_federation",
     "Model",

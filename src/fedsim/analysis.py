@@ -78,16 +78,15 @@ def pairwise_cka(models: list[nn.Model], probe: Dataset, layer_level: str) -> Ck
     """CKA between every pair of models' activations on a shared probe set."""
     if len(models) < 2:
         raise ParameterError("pairwise_cka needs at least 2 models")
-    signature = [
-        (layer.kind, layer.weights.shape if isinstance(layer, nn.DenseLayer) else None)
-        for layer in models[0].layers
-    ]
-    for k, model in enumerate(models[1:], start=1):
-        other = [
+    signatures = [
+        [
             (layer.kind, layer.weights.shape if isinstance(layer, nn.DenseLayer) else None)
             for layer in model.layers
         ]
-        if other != signature:
+        for model in models
+    ]
+    for k, signature in enumerate(signatures[1:], start=1):
+        if signature != signatures[0]:
             raise ParameterError(f"model {k} architecture differs from model 0")
     acts = [probe_activations(m, probe.features, layer_level) for m in models]
     k = len(models)
@@ -131,9 +130,8 @@ def entropy_histogram(
     logits, _ = nn.forward(model, data.features)
     probs = nn.softmax_with_temperature(logits, rho)
     entropies = entropy_rows(probs)
-    upper = math.log(data.num_classes) if data.num_classes > 1 else 1.0
-    edges = np.linspace(0.0, upper, num_bins + 1)
-    counts, _ = np.histogram(np.clip(entropies, 0.0, upper), bins=edges)
+    edges = histogram_edges(data.num_classes, num_bins)
+    counts, _ = np.histogram(np.clip(entropies, 0.0, edges[-1]), bins=edges)
     return counts
 
 

@@ -73,89 +73,49 @@ def _parse_float_tuple(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-_SCHEMA = {
+# section -> key -> (parser, desk default). The desk size is 10-class blobs,
+# 20 clients and strongly non-IID data. The pretraining source is the larger
+# share of the pool broadened with off-domain blobs, so the frozen features
+# transfer while the head still has real work left during the federated
+# rounds.
+_SETTINGS = {
     "dataset": {
-        "kind": str,
-        "num_classes": int,
-        "samples_per_class": int,
-        "feature_dim": int,
-        "class_separation": float,
-        "source_fraction": float,
-        "source_offdomain_per_class": int,
-        "test_fraction": float,
-        "source_path": str,
-        "target_path": str,
+        "num_classes": (int, "10"),
+        "samples_per_class": (int, "250"),
+        "feature_dim": (int, "32"),
+        "class_separation": (float, "2.3"),
+        "source_fraction": (float, "0.6"),
+        "source_offdomain_per_class": (int, "150"),
+        "test_fraction": (float, "0.2"),
+        "source_path": (str, "source.feds"),
+        "target_path": (str, "target.feds"),
     },
     "partition": {
-        "alpha": float,
+        "alpha": (float, "0.1"),
     },
     "federation": {
-        "strategy": str,
-        "rounds": int,
-        "local_epochs": int,
-        "num_clients": int,
-        "participation_fraction": float,
-        "p_ds": float,
-        "rho": float,
-        "learning_rate": float,
-        "momentum": float,
-        "prox_mu": float,
-        "batch_size": int,
-        "pretrain_epochs": int,
-        "split_index": int,
-        "hidden_sizes": _parse_int_tuple,
-        "master_seed": int,
+        "strategy": (str, "fedft_eds"),
+        "rounds": (int, "30"),
+        "local_epochs": (int, "5"),
+        "num_clients": (int, "20"),
+        "participation_fraction": (float, "1.0"),
+        "p_ds": (float, "0.5"),
+        "rho": (float, "0.1"),
+        "learning_rate": (float, "0.1"),
+        "momentum": (float, "0.5"),
+        "prox_mu": (float, "0.01"),
+        "batch_size": (int, "32"),
+        "pretrain_epochs": (int, "13"),
+        "split_index": (int, "2"),
+        "hidden_sizes": (_parse_int_tuple, "64,64"),
+        "master_seed": (int, "42"),
     },
     "analysis": {
-        "cka": _parse_bool,
-        "entropy_histogram": _parse_bool,
-        "selection_dump": _parse_bool,
-        "histogram_bins": int,
-        "histogram_rhos": _parse_float_tuple,
-    },
-}
-
-# Desk-size defaults: 10-class blobs, 20 clients, strongly non-IID.
-# The pretraining source is the larger share of the pool broadened with
-# off-domain blobs, so the frozen features transfer while the head still
-# has real work left during the federated rounds.
-_DESK_DEFAULT = {
-    "dataset": {
-        "kind": "synthetic",
-        "num_classes": "10",
-        "samples_per_class": "250",
-        "feature_dim": "32",
-        "class_separation": "2.3",
-        "source_fraction": "0.6",
-        "source_offdomain_per_class": "150",
-        "test_fraction": "0.2",
-        "source_path": "source.feds",
-        "target_path": "target.feds",
-    },
-    "partition": {"alpha": "0.1"},
-    "federation": {
-        "strategy": "fedft_eds",
-        "rounds": "30",
-        "local_epochs": "5",
-        "num_clients": "20",
-        "participation_fraction": "1.0",
-        "p_ds": "0.5",
-        "rho": "0.1",
-        "learning_rate": "0.1",
-        "momentum": "0.5",
-        "prox_mu": "0.01",
-        "batch_size": "32",
-        "pretrain_epochs": "13",
-        "split_index": "2",
-        "hidden_sizes": "64,64",
-        "master_seed": "42",
-    },
-    "analysis": {
-        "cka": "false",
-        "entropy_histogram": "false",
-        "selection_dump": "false",
-        "histogram_bins": "20",
-        "histogram_rhos": "1.0,0.5,0.1",
+        "cka": (_parse_bool, "false"),
+        "entropy_histogram": (_parse_bool, "false"),
+        "selection_dump": (_parse_bool, "false"),
+        "histogram_bins": (int, "20"),
+        "histogram_rhos": (_parse_float_tuple, "1.0,0.5,0.1"),
     },
 }
 
@@ -166,6 +126,10 @@ def _overlay(base: dict, extra: dict) -> dict:
     return base
 
 
+_DESK_DEFAULT = {
+    section: {key: default for key, (_, default) in keys.items()}
+    for section, keys in _SETTINGS.items()
+}
 PRESETS = {
     "desk-default": _DESK_DEFAULT,
     "desk-mild": _overlay(deepcopy(_DESK_DEFAULT), {"partition": {"alpha": "0.5"}}),
@@ -179,13 +143,13 @@ class ExperimentConfig:
         self.raw = raw
         typed: dict[str, dict] = {}
         for section, keys in raw.items():
-            if section not in _SCHEMA:
+            if section not in _SETTINGS:
                 raise ConfigError(f"unknown config section [{section}]")
             typed[section] = {}
             for key, text in keys.items():
-                if key not in _SCHEMA[section]:
+                if key not in _SETTINGS[section]:
                     raise ConfigError(f"unknown config key {section}.{key}")
-                parser = _SCHEMA[section][key]
+                parser, _ = _SETTINGS[section][key]
                 try:
                     typed[section][key] = parser(text)
                 except ValueError as exc:
@@ -198,17 +162,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         self.federation.validate()
         ds = self.dataset
-        if ds["kind"] not in ("synthetic", "files"):
-            raise ConfigError(f"dataset.kind must be synthetic or files, got {ds['kind']!r}")
-        if ds["kind"] == "synthetic":
-            if ds["num_classes"] < 1 or ds["samples_per_class"] < 1 or ds["feature_dim"] < 1:
-                raise ConfigError("synthetic dataset counts must be >= 1")
-            if ds["class_separation"] < 0.0:
-                raise ConfigError("dataset.class_separation must be >= 0")
-            if not 0.0 < ds["source_fraction"] < 1.0:
-                raise ConfigError("dataset.source_fraction must be in (0, 1)")
-            if ds["source_offdomain_per_class"] < 0:
-                raise ConfigError("dataset.source_offdomain_per_class must be >= 0")
+        if ds["num_classes"] < 1 or ds["samples_per_class"] < 1 or ds["feature_dim"] < 1:
+            raise ConfigError("synthetic dataset counts must be >= 1")
+        if ds["class_separation"] < 0.0:
+            raise ConfigError("dataset.class_separation must be >= 0")
+        if not 0.0 < ds["source_fraction"] < 1.0:
+            raise ConfigError("dataset.source_fraction must be in (0, 1)")
+        if ds["source_offdomain_per_class"] < 0:
+            raise ConfigError("dataset.source_offdomain_per_class must be >= 0")
         if not 0.0 < ds["test_fraction"] < 1.0:
             raise ConfigError("dataset.test_fraction must be in (0, 1)")
         # the files are written side by side and keyed by name in manifests
@@ -264,7 +225,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         _overlay(raw, deepcopy(PRESETS[args.preset]))
     if getattr(args, "config", None):
         _overlay(raw, _read_ini(args.config))
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SETTINGS.items():
         for key in keys:
             value = getattr(args, f"ov__{section}__{key}", None)
             if value is not None:
@@ -405,8 +366,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     started = _utc_now()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if config.dataset["kind"] != "synthetic":
-        raise ConfigError("generate only applies to dataset.kind = synthetic")
     source, target = _build_datasets(config)
     outputs = _dataset_paths(config, out_dir)
     source_path, target_path = outputs.values()
@@ -442,7 +401,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 entropy = "" if result.entropies is None else _fmt(result.entropies[i])
                 dump_rows.append([round_no, client_id, int(idx), entropy, int(int(idx) in chosen)])
 
-    reports, final = run_federation(
+    reports, final_model = run_federation(
         config.federation,
         source,
         train,
@@ -458,7 +417,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_reports_csv(reports, config.federation.strategy, reports_path)
     outputs["reports.csv"] = reports_path
     checkpoint_path = out_dir / "model.ckpt"
-    nn.save_model(final.model, checkpoint_path)
+    nn.save_model(final_model, checkpoint_path)
     outputs["model.ckpt"] = checkpoint_path
 
     if config.analysis["selection_dump"]:
@@ -474,7 +433,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if config.analysis["entropy_histogram"]:
         _write_entropy_histograms(
-            final.model,
+            final_model,
             train,
             config.analysis["histogram_rhos"],
             config.analysis["histogram_bins"],
@@ -584,7 +543,7 @@ def cmd_entropy_hist(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     source, train, _test, _partitions = _prepare_run(config, out_dir)
     model = initial_model(config.federation, source, train)
-    rhos = tuple(args.hist_rhos) if args.hist_rhos else config.analysis["histogram_rhos"]
+    rhos = config.analysis["histogram_rhos"]
     outputs: dict[str, Path] = {}
     all_counts = _write_entropy_histograms(
         model, train, rhos, config.analysis["histogram_bins"], out_dir, outputs
@@ -679,7 +638,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rho", type=float, default=None)
     parser.add_argument("--rounds", type=int, default=None)
     parser.add_argument("--alpha", type=float, default=None)
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SETTINGS.items():
         for key in keys:
             parser.add_argument(
                 f"--{section}.{key}",
@@ -720,14 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hist = sub.add_parser("entropy-hist", help="entropy histograms of the pretrained model")
     _add_config_arguments(p_hist)
-    p_hist.add_argument(
-        "--hist-rho",
-        dest="hist_rhos",
-        type=float,
-        action="append",
-        default=None,
-        help="temperature to histogram (repeatable)",
-    )
     p_hist.set_defaults(func=cmd_entropy_hist)
     return parser
 
@@ -746,10 +697,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FedsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (FedsimError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,23 +47,27 @@ REPORT_CSV_COLUMNS = (
 
 @dataclass
 class FederationConfig:
-    """Everything that defines a federation run (architecture included)."""
+    """Everything that defines a federation run (architecture included).
 
-    strategy: str = "fedft_eds"
-    rounds: int = 30
-    local_epochs: int = 5
-    num_clients: int = 20
-    participation_fraction: float = 1.0
-    p_ds: float = 0.5
-    rho: float = 0.1
-    learning_rate: float = 0.1
-    momentum: float = 0.5
-    prox_mu: float = 0.01
-    batch_size: int = 32
-    pretrain_epochs: int = 20
-    split_index: int = 4
-    hidden_sizes: tuple[int, ...] = (64, 64)
-    master_seed: int = 0
+    Fields have no defaults: the desk defaults live in the CLI's settings
+    table, and every caller states every value.
+    """
+
+    strategy: str
+    rounds: int
+    local_epochs: int
+    num_clients: int
+    participation_fraction: float
+    p_ds: float
+    rho: float
+    learning_rate: float
+    momentum: float
+    prox_mu: float
+    batch_size: int
+    pretrain_epochs: int
+    split_index: int
+    hidden_sizes: tuple[int, ...]
+    master_seed: int
 
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -124,14 +128,6 @@ class FederationConfig:
         out = asdict(self)
         out["hidden_sizes"] = list(self.hidden_sizes)
         return out
-
-
-@dataclass
-class GlobalModel:
-    """Server-side model state after a number of completed rounds."""
-
-    model: nn.Model
-    round: int
 
 
 @dataclass
@@ -204,8 +200,6 @@ def pretrain(
     if source is None or len(source) < 1:
         raise ParameterError("pretraining needs a nonempty source dataset")
     trained = model.copy()
-    if epochs == 0:
-        return trained
     original_split = trained.split_index
     trained.split_index = 0
     opt = nn.OptimizerState(learning_rate=learning_rate, momentum=momentum)
@@ -360,12 +354,13 @@ def run_federation(
     threads: int = 1,
     client_model_hook: Optional[Callable[[int, int, nn.Model], None]] = None,
     selection_hook: Optional[Callable[[int, int, SelectionResult], None]] = None,
-) -> tuple[list[RoundReport], GlobalModel]:
+) -> tuple[list[RoundReport], nn.Model]:
     """Full protocol: pretrain, then T rounds of select/update/aggregate.
 
     `train` is the client-side pool covered by `partitions`; `test` is the
     held-out split evaluated after every round. Hooks fire on the main
     thread in ascending client order once a round's updates are collected.
+    Returns the round reports and the global model after the last round.
     """
     config.validate()
     if len(partitions) != config.num_clients:
@@ -477,7 +472,7 @@ def run_federation(
             loss,
             len(participants),
         )
-    return reports, GlobalModel(model=model, round=config.rounds)
+    return reports, model
 
 
 def write_reports_csv(reports: list[RoundReport], strategy: str, path) -> None:

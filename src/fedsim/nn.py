@@ -290,9 +290,9 @@ def sgd_step(model: Model, grads: Gradients, opt: OptimizerState) -> None:
             raise ShapeError(f"gradient shapes do not match layer {idx}")
         if not (np.isfinite(dw).all() and np.isfinite(db).all()):
             raise NumericError(f"non-finite gradient at layer {idx}")
-        vw, vb = opt.velocity.setdefault(
-            idx, (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-        )
+        if idx not in opt.velocity:
+            opt.velocity[idx] = (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+        vw, vb = opt.velocity[idx]
         vw *= opt.momentum
         vw += dw
         vb *= opt.momentum

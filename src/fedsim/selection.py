@@ -10,7 +10,9 @@ uncertain ones near the top. The random strategy is the matched baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,12 +36,16 @@ class SelectionResult:
 
 
 def selection_count(n: int, p_ds: float) -> int:
-    """Number of samples to keep: max(1, floor(p_ds * n))."""
+    """Number of samples to keep: max(1, floor(p_ds * n)).
+
+    The floor is taken of the exact product with p_ds as the decimal it is
+    written as, so 0.29 of 100 is 29 (binary floating point gives 28).
+    """
     if not 0.0 < p_ds <= 1.0:
         raise ParameterError(f"p_ds must be in (0, 1], got {p_ds}")
     if n < 1:
         raise ParameterError("cannot select from an empty client")
-    return max(1, int(np.floor(p_ds * n)))
+    return max(1, math.floor(Fraction(str(float(p_ds))) * n))
 
 
 def compute_entropy(probs: np.ndarray) -> float:

@@ -224,9 +224,13 @@ def test_entropy_hist_counts_conserved(tmp_path):
     generate(out)
     code = run_cli([
         "entropy-hist", "--out", out, "--seed", 5, *TINY,
-        "--hist-rho", "1.0", "--hist-rho", "0.1",
+        "--analysis.histogram_rhos", "1.0,0.1",
     ])
     assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["analysis"]["histogram_rhos"] == [1.0, 0.1]
+    written = sorted(p.name for p in out.glob("entropy_hist_rho*.csv"))
+    assert written == ["entropy_hist_rho0.1.csv", "entropy_hist_rho1.csv"]
     target = data.load_dataset(out / "target.feds")
     train, _ = data.stratified_split(target, 0.2, derive_seed(5, streams.SPLIT, 1))
     train_size = len(train)

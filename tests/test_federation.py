@@ -41,6 +41,7 @@ def small_config(**overrides):
         rho=0.1,
         learning_rate=0.1,
         momentum=0.5,
+        prox_mu=0.01,
         batch_size=16,
         pretrain_epochs=4,
         split_index=4,
@@ -146,7 +147,6 @@ def test_local_update_single_sample_single_step():
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=8)
     subset = train.subset(np.array([3]))
     reference = model.copy()
-    nn.forward(reference, subset.features)
     grads = nn.backward(reference, subset.features, subset.labels)
     expected = {
         idx: (
@@ -237,7 +237,6 @@ def test_fedprox_applies_proximal_pull_on_later_steps():
     for start in (0, 8):
         chosen = order[start : start + 8]
         xb, yb = subset.features[chosen], subset.labels[chosen]
-        nn.forward(replay, xb)
         grads = nn.backward(replay, xb, yb)
         for idx, (dw, db) in grads.by_layer.items():
             layer = replay.layers[idx]
@@ -363,7 +362,6 @@ def test_run_zero_rounds_returns_pretrained_model():
     config = small_config(rounds=0)
     reports, final = run_federation(config, source, train, parts, test)
     assert reports == []
-    assert final.round == 0
     expected = pretrain(
         nn.build_mlp(8, config.hidden_sizes, 4, config.split_index,
                      derive_seed(config.master_seed, streams.INIT)),
@@ -374,7 +372,7 @@ def test_run_zero_rounds_returns_pretrained_model():
         config.batch_size,
         derive_seed(config.master_seed, streams.PRETRAIN),
     )
-    for a, b in zip(final.model.layers, expected.layers):
+    for a, b in zip(final.layers, expected.layers):
         if isinstance(a, nn.DenseLayer):
             assert np.array_equal(a.weights, b.weights)
 
@@ -391,8 +389,10 @@ def test_single_client_fedavg_equals_centralized_training():
         num_clients=1,
         participation_fraction=1.0,
         p_ds=1.0,
+        rho=0.1,
         learning_rate=0.1,
         momentum=0.5,
+        prox_mu=0.01,
         batch_size=16,
         pretrain_epochs=0,
         split_index=0,
@@ -413,9 +413,8 @@ def test_single_client_fedavg_equals_centralized_training():
             for start in range(0, len(train), 16):
                 chosen = order[start : start + 16]
                 xb, yb = train.features[chosen], train.labels[chosen]
-                nn.forward(oracle, xb)
                 nn.sgd_step(oracle, nn.backward(oracle, xb, yb), opt)
-    for a, b in zip(final.model.layers, oracle.layers):
+    for a, b in zip(final.layers, oracle.layers):
         if isinstance(a, nn.DenseLayer):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
@@ -443,7 +442,7 @@ def test_phi_is_bitwise_constant_across_rounds():
     for weights, bias in seen_phi[1:]:
         assert np.array_equal(weights, reference_w)
         assert np.array_equal(bias, reference_b)
-    assert np.array_equal(final.model.layers[0].weights, reference_w)
+    assert np.array_equal(final.layers[0].weights, reference_w)
 
 
 def test_run_federation_deterministic_across_threads():
@@ -452,7 +451,7 @@ def test_run_federation_deterministic_across_threads():
     reports_a, final_a = run_federation(config, source, train, parts, test, threads=1)
     reports_b, final_b = run_federation(config, source, train, parts, test, threads=3)
     assert reports_a == reports_b
-    for la, lb in zip(final_a.model.layers, final_b.model.layers):
+    for la, lb in zip(final_a.layers, final_b.layers):
         if isinstance(la, nn.DenseLayer):
             assert np.array_equal(la.weights, lb.weights)
 

@@ -197,7 +197,6 @@ def test_backward_matches_finite_differences_everywhere():
     rng = np.random.default_rng(9)
     batch = rng.normal(size=(7, 5))
     labels = rng.integers(0, 4, size=7)
-    nn.forward(model, batch)
     grads = nn.backward(model, batch, labels)
     for layer_idx, (dw, db) in grads.by_layer.items():
         for param, grad in (("weights", dw), ("bias", db)):
@@ -217,7 +216,6 @@ def test_backward_stationary_at_confident_minimum():
     )
     batch = np.random.default_rng(2).normal(size=(5, 2))
     labels = np.zeros(5, dtype=np.int64)
-    nn.forward(model, batch)
     grads = nn.backward(model, batch, labels)
     for dw, db in grads.by_layer.values():
         assert np.abs(dw).max() < 1e-6 and np.abs(db).max() < 1e-6
@@ -228,11 +226,9 @@ def test_backward_mean_invariance_under_duplication():
     rng = np.random.default_rng(4)
     batch = rng.normal(size=(6, 5))
     labels = rng.integers(0, 4, size=6)
-    nn.forward(model, batch)
     single = nn.backward(model, batch, labels)
     doubled_batch = np.concatenate([batch, batch])
     doubled_labels = np.concatenate([labels, labels])
-    nn.forward(model, doubled_batch)
     doubled = nn.backward(model, doubled_batch, doubled_labels)
     for idx in single.by_layer:
         assert np.abs(single.by_layer[idx][0] - doubled.by_layer[idx][0]).max() < 1e-12
@@ -257,7 +253,6 @@ def test_backward_only_touches_head_layers():
     model = make_model(split_index=2, seed=6)  # layers: dense, relu, dense
     batch = np.random.default_rng(8).normal(size=(4, 5))
     labels = np.array([0, 1, 2, 3])
-    nn.forward(model, batch)
     grads = nn.backward(model, batch, labels)
     assert sorted(grads.by_layer) == [2]
 
@@ -317,7 +312,6 @@ def test_sgd_keeps_frozen_layers_bitwise_identical():
     batch = rng.normal(size=(8, 5))
     labels = rng.integers(0, 4, size=8)
     for _ in range(25):
-        nn.forward(model, batch)
         nn.sgd_step(model, nn.backward(model, batch, labels), opt)
     assert np.array_equal(model.layers[0].weights, frozen_before[0])
     assert np.array_equal(model.layers[0].bias, frozen_before[1])

@@ -89,6 +89,9 @@ def test_selection_count_rule():
     assert selection.selection_count(7, 0.5) == 3
     assert selection.selection_count(7, 1.0) == 7
     assert selection.selection_count(3, 0.01) == 1  # never empty
+    # floor of the decimal product; binary floating point gives 28 and 56
+    assert selection.selection_count(100, 0.29) == 29
+    assert selection.selection_count(100, 0.57) == 57
     with pytest.raises(ParameterError):
         selection.selection_count(5, 0.0)
     with pytest.raises(ParameterError):
