@@ -52,26 +52,22 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
 
 def probe_activations(model: nn.Model, features: np.ndarray, layer_level: str) -> np.ndarray:
     """Activations at a named depth: low/mid after the first/second relu,
-    up at the input of the final (logits) layer."""
+    up at the logits (the output of the last dense layer).
+
+    Without a second relu, mid falls back to low; without any relu, low is
+    the output of the first layer.
+    """
     if layer_level not in LAYER_LEVELS:
         raise ParameterError(f"layer_level must be one of {LAYER_LEVELS}, got {layer_level!r}")
-    _, activations = nn.forward(model, features)
+    logits, activations = nn.forward(model, features)
+    if layer_level == "up":
+        return logits
     relu_positions = [
         i for i, layer in enumerate(model.layers) if isinstance(layer, nn.ReluLayer)
-    ]
-    dense_positions = [
-        i for i, layer in enumerate(model.layers) if isinstance(layer, nn.DenseLayer)
-    ]
-    if layer_level == "low":
-        pos = relu_positions[0] if relu_positions else dense_positions[0]
-        return activations[pos]
-    if layer_level == "mid":
-        pos = relu_positions[1] if len(relu_positions) > 1 else (
-            relu_positions[0] if relu_positions else dense_positions[0]
-        )
-        return activations[pos]
-    last_dense = dense_positions[-1]
-    return activations[last_dense - 1] if last_dense > 0 else np.asarray(features, dtype=np.float64)
+    ] or [0]
+    if layer_level == "mid" and len(relu_positions) > 1:
+        return activations[relu_positions[1]]
+    return activations[relu_positions[0]]
 
 
 def pairwise_cka(models: list[nn.Model], probe: Dataset, layer_level: str) -> CkaMatrix:

@@ -182,8 +182,15 @@ class ExperimentConfig:
             raise ConfigError(f"partition.alpha must be > 0, got {self.alpha}")
         if self.analysis["histogram_bins"] < 2:
             raise ConfigError("analysis.histogram_bins must be >= 2")
-        if any(r <= 0.0 for r in self.analysis["histogram_rhos"]):
+        rhos = self.analysis["histogram_rhos"]
+        if any(r <= 0.0 for r in rhos):
             raise ConfigError("analysis.histogram_rhos must be positive")
+        names = [_histogram_file_name(r) for r in rhos]
+        if len(set(names)) != len(names):
+            raise ConfigError(
+                f"analysis.histogram_rhos {list(rhos)} give the same file name twice "
+                f"({', '.join(names)}); each temperature needs its own"
+            )
 
     def snapshot(self) -> dict:
         """JSON-serializable view of the typed configuration."""
@@ -473,6 +480,10 @@ def _write_cka(
     return matrices
 
 
+def _histogram_file_name(rho: float) -> str:
+    return f"entropy_hist_rho{rho:g}.csv"
+
+
 def _write_entropy_histograms(
     model: nn.Model,
     train: Dataset,
@@ -489,7 +500,7 @@ def _write_entropy_histograms(
     all_counts = []
     for rho in rhos:
         counts = analysis.entropy_histogram(model, train, rho, bins)
-        path = out_dir / f"entropy_hist_rho{rho:g}.csv"
+        path = out_dir / _histogram_file_name(rho)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["bin_low", "bin_high", "count"])

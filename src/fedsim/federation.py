@@ -4,7 +4,8 @@ One round samples the participating clients, lets each select a per-round
 training subset according to the configured strategy, runs E local epochs on
 that subset and aggregates the uploaded head parameters weighted by the
 number of samples each client actually trained on. The frozen feature
-extractor never leaves the server state untouched by updates.
+extractor is fixed once pretraining ends, so its output is computed once per
+sample and the rounds run on the head alone.
 
 Client "training time" is a deterministic device-effort model (sample visits
 times per-sample cost at a nominal 1 GFLOP/s), not measured wall clock, so
@@ -31,6 +32,7 @@ from .selection import SelectionResult, select_all, select_by_entropy, select_ra
 log = logging.getLogger("fedsim.federation")
 
 SECONDS_PER_FLOP = 1e-9  # nominal 1 GFLOP/s client device
+FROZEN_BLOCK_ROWS = 512  # test rows per frozen-extractor call when caching phi
 
 STRATEGIES = ("fedavg", "fedprox", "fedft_rds", "fedft_eds", "fedft_all")
 
@@ -178,9 +180,12 @@ def _run_epochs(
             nn.sgd_step(model, grads, opt)
 
 
-def _train_time_seconds(model: nn.Model, sample_visits: int) -> float:
-    per_sample = nn.forward_flops_per_sample(model) + nn.backward_flops_per_sample(model)
-    return sample_visits * per_sample * SECONDS_PER_FLOP
+def _train_time_seconds(
+    model: nn.Model, sample_visits: int, flops_per_sample: int | None
+) -> float:
+    if flops_per_sample is None:
+        flops_per_sample = nn.forward_flops_per_sample(model) + nn.backward_flops_per_sample(model)
+    return sample_visits * flops_per_sample * SECONDS_PER_FLOP
 
 
 def pretrain(
@@ -241,11 +246,15 @@ def client_local_update(
     opt: nn.OptimizerState,
     batch_size: int,
     epoch_seeds: list[int],
+    flops_per_sample: int | None = None,
 ) -> ClientUpdate:
     """E epochs of mini-batch SGD on the selected subset, head only.
 
     Mutates the given model (the client's own copy of the global model) and
-    reports the modeled device-effort training time.
+    reports the modeled device-effort training time: flops_per_sample per
+    sample visit, by default the forward plus head-backward cost of `model`.
+    A head trained on cached frozen features passes the full model's cost,
+    so the frozen forward the device would run is still charged.
     """
     if len(selected) < 1:
         raise ParameterError("client update needs a nonempty selected subset")
@@ -256,7 +265,7 @@ def client_local_update(
         client_id=client_id,
         theta=nn.copy_theta(model),
         selected_count=len(selected),
-        train_time_seconds=_train_time_seconds(model, epochs * len(selected)),
+        train_time_seconds=_train_time_seconds(model, epochs * len(selected), flops_per_sample),
     )
 
 
@@ -269,8 +278,12 @@ def fedprox_local_update(
     prox_mu: float,
     batch_size: int,
     epoch_seeds: list[int],
+    flops_per_sample: int | None = None,
 ) -> ClientUpdate:
-    """Local update with a proximal pull mu * (theta - theta_t) added per step."""
+    """Local update with a proximal pull mu * (theta - theta_t) added per step.
+
+    The modeled time is charged as in client_local_update.
+    """
     if prox_mu < 0.0:
         raise ParameterError(f"prox_mu must be >= 0, got {prox_mu}")
     if len(data) < 1:
@@ -294,7 +307,7 @@ def fedprox_local_update(
         client_id=client_id,
         theta=nn.copy_theta(model),
         selected_count=len(data),
-        train_time_seconds=_train_time_seconds(model, epochs * len(data)),
+        train_time_seconds=_train_time_seconds(model, epochs * len(data), flops_per_sample),
     )
 
 
@@ -345,6 +358,21 @@ def evaluate_model(model: nn.Model, dataset: Dataset) -> tuple[float, float]:
     return accuracy, loss
 
 
+def _frozen_rows(model: nn.Model, dataset: Dataset, blocks: list, width: int) -> Dataset:
+    """`dataset` with each row replaced by its `width` frozen features phi(x).
+
+    Rows go through phi one block of indices at a time, so only one block's
+    activations exist beside the result. With nothing frozen phi is the
+    identity and `dataset` itself is returned.
+    """
+    if model.split_index == 0:
+        return dataset
+    rows = np.empty((len(dataset), width))
+    for block in blocks:
+        rows[block] = nn.frozen_features(model, dataset.features[block])
+    return Dataset(rows, dataset.labels, dataset.num_classes, dataset.name)
+
+
 def run_federation(
     config: FederationConfig,
     source: Dataset,
@@ -375,25 +403,36 @@ def run_federation(
 
     master = config.master_seed
     model = initial_model(config, source, train)
+    split = model.split_index
+    # The head shares its layer objects with `model`: aggregating into the
+    # head updates `model`, which stays the global model, frozen part and all.
+    head = nn.Model(model.layers[split:], 0, model.num_classes)
+    # phi is fixed from here on, so every sample goes through it once; the
+    # head then selects, trains and evaluates on these rows alone.
+    test_blocks = [slice(s, s + FROZEN_BLOCK_ROWS) for s in range(0, len(test), FROZEN_BLOCK_ROWS)]
+    test_rows = _frozen_rows(model, test, test_blocks, head.input_dim)
+    train_rows = _frozen_rows(model, train, [p.sample_indices for p in partitions], head.input_dim)
     p_ds = config.effective_p_ds
+    # device time is charged for the full model, frozen forward included
     forward_flops = nn.forward_flops_per_sample(model)
+    train_flops = forward_flops + nn.backward_flops_per_sample(model)
     theta_count = nn.theta_param_count(model)
     cumulative_time = 0.0
     reports: list[RoundReport] = []
 
     def client_round(round_no: int, client_id: int, rds_seed: int):
         try:
-            client_model = model.copy()
+            client_head = head.copy()
             part = partitions[client_id]
             selection_seconds = 0.0
             if p_ds >= 1.0:
                 chosen = select_all(part)
             elif config.strategy == "fedft_eds":
-                chosen = select_by_entropy(client_model, train, part, p_ds, config.rho)
+                chosen = select_by_entropy(client_head, train_rows, part, p_ds, config.rho)
                 selection_seconds = len(part) * forward_flops * SECONDS_PER_FLOP
             else:
                 chosen = select_random(part, p_ds, rds_seed)
-            subset = train.subset(chosen.selected_indices)
+            subset = train_rows.subset(chosen.selected_indices)
             opt = nn.OptimizerState(
                 learning_rate=config.learning_rate, momentum=config.momentum
             )
@@ -404,74 +443,80 @@ def run_federation(
             if config.strategy == "fedprox":
                 update = fedprox_local_update(
                     client_id,
-                    client_model,
+                    client_head,
                     subset,
                     config.local_epochs,
                     opt,
                     config.prox_mu,
                     config.batch_size,
                     epoch_seeds,
+                    train_flops,
                 )
             else:
                 update = client_local_update(
                     client_id,
-                    client_model,
+                    client_head,
                     subset,
                     config.local_epochs,
                     opt,
                     config.batch_size,
                     epoch_seeds,
+                    train_flops,
                 )
-            kept_model = client_model if client_model_hook is not None else None
+            kept_model = None
+            if client_model_hook is not None:
+                # the frozen layer objects are the global model's own
+                kept_model = nn.Model(
+                    model.layers[:split] + client_head.layers, split, model.num_classes
+                )
             return update, chosen, selection_seconds, kept_model
         except NumericError as exc:
             raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
 
-    for round_no in range(1, config.rounds + 1):
-        participants = sample_participants(
-            config.num_clients,
-            config.participation_fraction,
-            derive_seed(master, streams.PARTICIPANTS, round_no),
-        )
-        rds_seed = derive_seed(master, streams.SELECTION, round_no)
-        jobs = [(round_no, int(cid), rds_seed) for cid in participants]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda args: client_round(*args), jobs))
-        else:
-            results = [client_round(*args) for args in jobs]
+    # No worker thread starts unless jobs are submitted, i.e. threads > 1.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        run_jobs = pool.map if threads > 1 else map
+        for round_no in range(1, config.rounds + 1):
+            participants = sample_participants(
+                config.num_clients,
+                config.participation_fraction,
+                derive_seed(master, streams.PARTICIPANTS, round_no),
+            )
+            rds_seed = derive_seed(master, streams.SELECTION, round_no)
+            jobs = [(round_no, int(cid), rds_seed) for cid in participants]
+            results = list(run_jobs(lambda args: client_round(*args), jobs))
 
-        updates = []
-        selected_counts: dict[int, int] = {}
-        for (update, chosen, selection_seconds, kept_model) in results:
-            if selection_hook is not None:
-                selection_hook(round_no, update.client_id, chosen)
-            if client_model_hook is not None and kept_model is not None:
-                client_model_hook(round_no, update.client_id, kept_model)
-            cumulative_time += selection_seconds + update.train_time_seconds
-            selected_counts[update.client_id] = update.selected_count
-            updates.append(update)
+            updates = []
+            selected_counts: dict[int, int] = {}
+            for (update, chosen, selection_seconds, kept_model) in results:
+                if selection_hook is not None:
+                    selection_hook(round_no, update.client_id, chosen)
+                if kept_model is not None:
+                    client_model_hook(round_no, update.client_id, kept_model)
+                cumulative_time += selection_seconds + update.train_time_seconds
+                selected_counts[update.client_id] = update.selected_count
+                updates.append(update)
 
-        nn.set_theta(model, aggregate(updates))
-        accuracy, loss = evaluate_model(model, test)
-        report = RoundReport(
-            round=round_no,
-            participants=[int(c) for c in participants],
-            test_accuracy=accuracy,
-            test_loss=loss,
-            cumulative_client_train_time=cumulative_time,
-            selected_counts=selected_counts,
-            comm_bytes=len(participants) * 2 * theta_count * 8,
-        )
-        reports.append(report)
-        log.info(
-            "round %d/%d: acc=%.4f loss=%.4f participants=%d",
-            round_no,
-            config.rounds,
-            accuracy,
-            loss,
-            len(participants),
-        )
+            nn.set_theta(head, aggregate(updates))
+            accuracy, loss = evaluate_model(head, test_rows)
+            report = RoundReport(
+                round=round_no,
+                participants=[int(c) for c in participants],
+                test_accuracy=accuracy,
+                test_loss=loss,
+                cumulative_client_train_time=cumulative_time,
+                selected_counts=selected_counts,
+                comm_bytes=len(participants) * 2 * theta_count * 8,
+            )
+            reports.append(report)
+            log.info(
+                "round %d/%d: acc=%.4f loss=%.4f participants=%d",
+                round_no,
+                config.rounds,
+                accuracy,
+                loss,
+                len(participants),
+            )
     return reports, model
 
 

@@ -173,11 +173,8 @@ class OptimizerState:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
-def forward(model: Model, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run the network on a (n, d) batch.
-
-    Returns the (n, num_classes) logits and the list of per-layer outputs.
-    """
+def _as_batch(model: Model, batch: np.ndarray) -> np.ndarray:
+    """The batch as float64, checked to be (n, model.input_dim)."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ShapeError(f"batch must be 2-D, got shape {batch.shape}")
@@ -185,6 +182,15 @@ def forward(model: Model, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
         raise ShapeError(
             f"batch width {batch.shape[1]} != model input width {model.input_dim}"
         )
+    return batch
+
+
+def forward(model: Model, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run the network on a (n, d) batch.
+
+    Returns the (n, num_classes) logits and the list of per-layer outputs.
+    """
+    batch = _as_batch(model, batch)
     activations: list[np.ndarray] = []
     x = batch
     for layer in model.layers:
@@ -197,6 +203,27 @@ def forward(model: Model, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     if not np.isfinite(logits).all():
         raise NumericError("forward pass produced non-finite logits")
     return logits, activations
+
+
+def frozen_features(model: Model, batch: np.ndarray) -> np.ndarray:
+    """Output of the frozen layers [0, split_index) on a (n, d) batch.
+
+    This is the input of the head, bitwise equal to the activation that
+    forward() leaves at split_index - 1; with nothing frozen it is the batch
+    itself. Bias and relu are applied in place, but only on arrays this call
+    allocated, never on the caller's batch.
+    """
+    batch = _as_batch(model, batch)
+    x = batch
+    for layer in model.layers[: model.split_index]:
+        if isinstance(layer, DenseLayer):
+            x = x @ layer.weights.T
+            x += layer.bias
+        elif x is batch:
+            x = np.maximum(x, 0.0)
+        else:
+            np.maximum(x, 0.0, out=x)
+    return x
 
 
 def softmax_with_temperature(logits: np.ndarray, rho: float) -> np.ndarray:

@@ -132,7 +132,20 @@ def test_probe_levels_have_expected_widths():
     up = analysis.probe_activations(model, probe.features, "up")
     assert low.shape[1] == 8
     assert mid.shape[1] == 5
-    assert up.shape[1] == 5  # input of the logits layer
+    assert up.shape[1] == 3  # the logits
+
+
+def test_probe_levels_are_three_different_arrays():
+    probe = probe_dataset()
+    model = nn.build_mlp(6, (64, 64), 3, split_index=4, seed=14)
+    low, mid, up = (
+        analysis.probe_activations(model, probe.features, level)
+        for level in analysis.LAYER_LEVELS
+    )
+    logits, _ = nn.forward(model, probe.features)
+    assert low.shape == mid.shape == (len(probe), 64)
+    assert not np.array_equal(low, mid)
+    assert np.array_equal(up, logits)
 
 
 # --- learning efficiency ----------------------------------------------------

@@ -240,6 +240,18 @@ def test_entropy_hist_counts_conserved(tmp_path):
         assert sum(counts) == train_size
 
 
+@pytest.mark.parametrize("rhos", ["1.0,1", "0.1,0.1000001"])
+def test_histogram_rhos_sharing_a_file_name_are_rejected(tmp_path, capsys, rhos):
+    out = tmp_path / "hist"
+    generate(out)
+    code = run_cli([
+        "entropy-hist", "--out", out, "--seed", 5, *TINY, "--analysis.histogram_rhos", rhos,
+    ])
+    assert code == 2
+    assert "histogram_rhos" in capsys.readouterr().err
+    assert not list(out.glob("entropy_hist_rho*.csv"))
+
+
 def test_run_with_cka_and_dump_toggles(tmp_path):
     out = tmp_path / "toggles"
     generate(out)

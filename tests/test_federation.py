@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from fedsim import data, nn
+from fedsim import data, nn, selection
 from fedsim import rng as streams
 from fedsim.data import ClientPartition, PartitionSpec
 from fedsim.errors import ConfigError, NumericError, ParameterError, ProtocolError
 from fedsim.federation import (
+    SECONDS_PER_FLOP,
     ClientUpdate,
     FederationConfig,
     aggregate,
     client_local_update,
     evaluate_model,
     fedprox_local_update,
+    initial_model,
     pretrain,
     run_federation,
     sample_participants,
@@ -490,3 +492,95 @@ def test_report_time_is_nondecreasing_and_accuracy_in_range():
     times = [r.cumulative_client_train_time for r in reports]
     assert all(b >= a for a, b in zip(times, times[1:]))
     assert all(0.0 <= r.test_accuracy <= 1.0 for r in reports)
+
+
+# --- frozen-feature cache ------------------------------------------------------------
+
+
+def test_device_time_charges_the_full_model_with_the_cache():
+    source, train, test, parts = small_setup()
+    config = small_config(strategy="fedft_eds", rounds=3)
+    reports, final = run_federation(config, source, train, parts, test)
+    # every client takes part; scoring costs one full forward per sample,
+    # training the full forward (frozen part included) plus the head backward
+    forward = nn.forward_flops_per_sample(final)
+    train_cost = forward + nn.backward_flops_per_sample(final)
+    assert forward > nn.forward_flops_per_sample(
+        nn.Model(final.layers[config.split_index:], 0, final.num_classes)
+    )
+    expected = 0.0
+    for _ in range(config.rounds):
+        for part in parts:
+            kept = selection.selection_count(len(part), config.p_ds)
+            visits = config.local_epochs * kept
+            expected += len(part) * forward * SECONDS_PER_FLOP + visits * train_cost * SECONDS_PER_FLOP
+    assert reports[-1].cumulative_client_train_time == expected
+
+
+def test_frozen_layers_stay_the_pretrained_ones_with_the_cache():
+    source, train, test, parts = small_setup()
+    config = small_config(strategy="fedft_eds", rounds=2)
+    pretrained = initial_model(config, source, train)
+    hooked = []
+    _, final = run_federation(
+        config, source, train, parts, test, client_model_hook=lambda r, c, m: hooked.append(m)
+    )
+    assert len(hooked) == config.rounds * config.num_clients
+    for model in (final, *hooked):
+        assert model.split_index == config.split_index
+        assert len(model.layers) == len(pretrained.layers)
+        for i in pretrained.frozen_layer_indices():
+            assert np.array_equal(model.layers[i].weights, pretrained.layers[i].weights)
+            assert np.array_equal(model.layers[i].bias, pretrained.layers[i].bias)
+    # each hooked model carries its client's own head, not the global one
+    head = config.split_index
+    assert not np.array_equal(hooked[0].layers[head].weights, hooked[1].layers[head].weights)
+
+
+def _uncached_rounds(config, source, train, parts, test):
+    """The round loop replayed on the full model and the raw features, from
+    the public primitives; every client takes part and selects at random."""
+    master = config.master_seed
+    model = initial_model(config, source, train)
+    rows, cumulative = [], 0.0
+    for round_no in range(1, config.rounds + 1):
+        updates = []
+        for part in parts:
+            cid = part.client_id
+            chosen = selection.select_random(
+                part, config.p_ds, derive_seed(master, streams.SELECTION, round_no)
+            )
+            subset = train.subset(chosen.selected_indices)
+            seeds = [
+                derive_seed(master, streams.SHUFFLE, round_no, cid, epoch)
+                for epoch in range(config.local_epochs)
+            ]
+            opt = nn.OptimizerState(config.learning_rate, config.momentum)
+            if config.strategy == "fedprox":
+                update = fedprox_local_update(
+                    cid, model.copy(), subset, config.local_epochs, opt, config.prox_mu,
+                    config.batch_size, seeds,
+                )
+            else:
+                update = client_local_update(
+                    cid, model.copy(), subset, config.local_epochs, opt, config.batch_size, seeds
+                )
+            cumulative += 0.0 + update.train_time_seconds
+            updates.append(update)
+        nn.set_theta(model, aggregate(updates))
+        rows.append((*evaluate_model(model, test), cumulative))
+    return rows, model
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "fedprox"])
+def test_split_zero_reports_are_unchanged_by_the_cache(strategy):
+    source, train, test, parts = small_setup()
+    config = small_config(strategy=strategy, rounds=3, p_ds=0.5)
+    reports, final = run_federation(config, source, train, parts, test)
+    expected_rows, expected_model = _uncached_rounds(config, source, train, parts, test)
+    rows = [(r.test_accuracy, r.test_loss, r.cumulative_client_train_time) for r in reports]
+    assert rows == expected_rows
+    for a, b in zip(final.layers, expected_model.layers):
+        if isinstance(a, nn.DenseLayer):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.bias, b.bias)

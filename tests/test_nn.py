@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import nn
 from fedsim.errors import FormatError, NumericError, ParameterError, ShapeError
@@ -78,6 +80,57 @@ def test_forward_rejects_nonfinite():
     model.layers[0].weights[0, 0] = np.inf
     with pytest.raises(NumericError):
         nn.forward(model, np.ones((2, 5)))
+
+
+# --- frozen features (property tests) -----------------------------------------
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def split_models_and_batches(draw, relu_first=False):
+    """A random-width MLP (optionally led by a relu), a split that leaves the
+    logits layer in the head, and a batch with negative entries."""
+    input_dim = draw(st.integers(1, 12))
+    hidden = tuple(draw(st.lists(st.integers(1, 24), min_size=1, max_size=3)))
+    num_classes = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**31 - 1))
+    layers = nn.build_mlp(input_dim, hidden, num_classes, 0, seed).layers
+    if relu_first:
+        layers = [nn.ReluLayer(), *layers]
+    split = draw(st.integers(0, len(layers) - 1))
+    rows = draw(st.integers(1, 70))
+    batch = np.random.default_rng(seed).normal(scale=2.0, size=(rows, input_dim))
+    return nn.Model(layers, split, num_classes), batch
+
+
+@PROPERTY
+@given(st.one_of(split_models_and_batches(), split_models_and_batches(relu_first=True)))
+def test_head_on_frozen_features_gives_the_full_logits(case):
+    model, batch = case
+    head = nn.Model(model.layers[model.split_index:], 0, model.num_classes)
+    features = nn.frozen_features(model, batch)
+    logits, activations = nn.forward(model, batch)
+    if model.split_index == 0:
+        assert features is batch
+    else:
+        assert np.array_equal(features, activations[model.split_index - 1])
+    assert np.array_equal(nn.forward(head, features)[0], logits)
+
+
+@PROPERTY
+@given(st.one_of(split_models_and_batches(), split_models_and_batches(relu_first=True)))
+def test_frozen_features_never_mutates_its_input(case):
+    model, batch = case
+    before = batch.copy()
+    features = nn.frozen_features(model, batch)
+    assert np.array_equal(batch, before)
+    assert model.split_index == 0 or not np.shares_memory(features, batch)
+
+
+def test_frozen_features_rejects_bad_width():
+    with pytest.raises(ShapeError):
+        nn.frozen_features(make_model(split_index=2), np.zeros((3, 4)))
 
 
 # --- softmax with temperature -------------------------------------------
