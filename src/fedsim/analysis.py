@@ -38,12 +38,20 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
         raise ShapeError("linear_cka expects 2-D activation matrices")
     if x.shape[0] != y.shape[0]:
         raise ShapeError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 2:
+    return _centered_cka(_centered(x), _centered(y))
+
+
+def _centered(acts: np.ndarray) -> tuple[np.ndarray, float]:
+    """Column-centered activations and the Frobenius norm of their Gram matrix."""
+    if acts.shape[0] < 2:
         raise ParameterError("need at least 2 rows to center and compare")
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    x_norm = np.linalg.norm(xc.T @ xc)
-    y_norm = np.linalg.norm(yc.T @ yc)
+    centered = acts - acts.mean(axis=0)
+    return centered, np.linalg.norm(centered.T @ centered)
+
+
+def _centered_cka(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
+    """linear_cka of two `_centered` results."""
+    (xc, x_norm), (yc, y_norm) = x, y
     if x_norm == 0.0 or y_norm == 0.0:
         return float("nan")
     cross = np.linalg.norm(yc.T @ xc) ** 2
@@ -84,12 +92,13 @@ def pairwise_cka(models: list[nn.Model], probe: Dataset, layer_level: str) -> Ck
     for k, signature in enumerate(signatures[1:], start=1):
         if signature != signatures[0]:
             raise ParameterError(f"model {k} architecture differs from model 0")
-    acts = [probe_activations(m, probe.features, layer_level) for m in models]
+    # each model is centered once, not once per pair
+    centered = [_centered(probe_activations(m, probe.features, layer_level)) for m in models]
     k = len(models)
     values = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
-            score = linear_cka(acts[i], acts[j])
+            score = _centered_cka(centered[i], centered[j])
             values[i, j] = score
             values[j, i] = score
     return CkaMatrix(values=values, layer_level=layer_level)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from itertools import repeat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -311,31 +312,60 @@ def fedprox_local_update(
     )
 
 
+class UpdateFold:
+    """Running weighted sum of client updates: acc += (count / total) * theta.
+
+    Updates are added one at a time in ascending client id, so the sum has one
+    fixed order and only the running total is held. `total` is the summed
+    selected count of every update that will be added. This is the one
+    aggregation path: `aggregate` adds a sorted list, the round loop each
+    update as it arrives.
+    """
+
+    def __init__(self, total: int):
+        self.total = total
+        self.folded = 0
+        self.last_id: int | None = None
+        self.acc: list[np.ndarray] | None = None
+
+    def add(self, update: ClientUpdate) -> None:
+        if self.last_id is not None and update.client_id <= self.last_id:
+            raise ProtocolError(
+                f"client {update.client_id} folded after client {self.last_id}: "
+                "client ids must be unique and ascending"
+            )
+        if update.selected_count < 1:
+            raise ProtocolError("every update must carry selected_count >= 1")
+        if self.acc is None:
+            self.acc = [np.zeros(arr.shape) for arr in update.theta]
+        elif [arr.shape for arr in update.theta] != [acc.shape for acc in self.acc]:
+            raise ProtocolError(f"client {update.client_id} uploaded mismatched parameter shapes")
+        weight = update.selected_count / self.total
+        for acc, arr in zip(self.acc, update.theta):
+            acc += weight * arr
+        self.last_id = update.client_id
+        self.folded += update.selected_count
+
+    def result(self) -> list[np.ndarray]:
+        if self.acc is None:
+            raise ParameterError("aggregate needs at least one client update")
+        if self.folded != self.total:
+            raise ProtocolError(
+                f"folded selected counts sum to {self.folded}, expected {self.total}"
+            )
+        return self.acc
+
+
 def aggregate(updates: list[ClientUpdate]) -> list[np.ndarray]:
     """Weighted average of head parameters, weights = selected counts.
 
     Summation runs in ascending client id order so the result is independent
     of completion order.
     """
-    if not updates:
-        raise ParameterError("aggregate needs at least one client update")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    ids = [u.client_id for u in ordered]
-    if len(set(ids)) != len(ids):
-        raise ProtocolError(f"duplicate client ids in updates: {ids}")
-    if any(u.selected_count < 1 for u in ordered):
-        raise ProtocolError("every update must carry selected_count >= 1")
-    shapes = [arr.shape for arr in ordered[0].theta]
-    for u in ordered[1:]:
-        if [arr.shape for arr in u.theta] != shapes:
-            raise ProtocolError(f"client {u.client_id} uploaded mismatched parameter shapes")
-    total = float(sum(u.selected_count for u in ordered))
-    result = [np.zeros(shape) for shape in shapes]
-    for u in ordered:
-        weight = u.selected_count / total
-        for acc, arr in zip(result, u.theta):
-            acc += weight * arr
-    return result
+    fold = UpdateFold(sum(u.selected_count for u in updates))
+    for update in sorted(updates, key=lambda u: u.client_id):
+        fold.add(update)
+    return fold.result()
 
 
 def sample_participants(num_clients: int, participation_fraction: float, round_seed: int) -> np.ndarray:
@@ -387,7 +417,9 @@ def run_federation(
 
     `train` is the client-side pool covered by `partitions`; `test` is the
     held-out split evaluated after every round. Hooks fire on the main
-    thread in ascending client order once a round's updates are collected.
+    thread in ascending client order, `selection_hook` before
+    `client_model_hook`, as each client's update is folded into the global
+    head; a round holds only the client models still in flight.
     Returns the round reports and the global model after the last round.
     """
     config.validate()
@@ -420,88 +452,104 @@ def run_federation(
     cumulative_time = 0.0
     reports: list[RoundReport] = []
 
-    def client_round(round_no: int, client_id: int, rds_seed: int):
-        try:
-            client_head = head.copy()
-            part = partitions[client_id]
-            selection_seconds = 0.0
-            if p_ds >= 1.0:
-                chosen = select_all(part)
-            elif config.strategy == "fedft_eds":
-                chosen = select_by_entropy(client_head, train_rows, part, p_ds, config.rho)
-                selection_seconds = len(part) * forward_flops * SECONDS_PER_FLOP
-            else:
-                chosen = select_random(part, p_ds, rds_seed)
-            subset = train_rows.subset(chosen.selected_indices)
-            opt = nn.OptimizerState(
-                learning_rate=config.learning_rate, momentum=config.momentum
+    def select_client(round_no: int, client_id: int, rds_seed: int):
+        part = partitions[client_id]
+        if p_ds >= 1.0:
+            return select_all(part), 0.0
+        if config.strategy == "fedft_eds":
+            chosen = select_by_entropy(head, train_rows, part, p_ds, config.rho)
+            return chosen, len(part) * forward_flops * SECONDS_PER_FLOP
+        return select_random(part, p_ds, rds_seed), 0.0
+
+    def train_client(round_no: int, client_id: int, chosen: SelectionResult):
+        client_head = head.copy()
+        subset = train_rows.subset(chosen.selected_indices)
+        opt = nn.OptimizerState(learning_rate=config.learning_rate, momentum=config.momentum)
+        epoch_seeds = [
+            derive_seed(master, streams.SHUFFLE, round_no, client_id, epoch)
+            for epoch in range(config.local_epochs)
+        ]
+        if config.strategy == "fedprox":
+            update = fedprox_local_update(
+                client_id,
+                client_head,
+                subset,
+                config.local_epochs,
+                opt,
+                config.prox_mu,
+                config.batch_size,
+                epoch_seeds,
+                train_flops,
             )
-            epoch_seeds = [
-                derive_seed(master, streams.SHUFFLE, round_no, client_id, epoch)
-                for epoch in range(config.local_epochs)
-            ]
-            if config.strategy == "fedprox":
-                update = fedprox_local_update(
-                    client_id,
-                    client_head,
-                    subset,
-                    config.local_epochs,
-                    opt,
-                    config.prox_mu,
-                    config.batch_size,
-                    epoch_seeds,
-                    train_flops,
-                )
-            else:
-                update = client_local_update(
-                    client_id,
-                    client_head,
-                    subset,
-                    config.local_epochs,
-                    opt,
-                    config.batch_size,
-                    epoch_seeds,
-                    train_flops,
-                )
-            kept_model = None
-            if client_model_hook is not None:
-                # the frozen layer objects are the global model's own
-                kept_model = nn.Model(
-                    model.layers[:split] + client_head.layers, split, model.num_classes
-                )
-            return update, chosen, selection_seconds, kept_model
-        except NumericError as exc:
-            raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
+        else:
+            update = client_local_update(
+                client_id,
+                client_head,
+                subset,
+                config.local_epochs,
+                opt,
+                config.batch_size,
+                epoch_seeds,
+                train_flops,
+            )
+        kept_model = None
+        if client_model_hook is not None:
+            # the frozen layer objects are the global model's own
+            kept_model = nn.Model(
+                model.layers[:split] + client_head.layers, split, model.num_classes
+            )
+        return update, kept_model
 
     # No worker thread starts unless jobs are submitted, i.e. threads > 1.
     with ThreadPoolExecutor(max_workers=threads) as pool:
         run_jobs = pool.map if threads > 1 else map
-        for round_no in range(1, config.rounds + 1):
-            participants = sample_participants(
-                config.num_clients,
-                config.participation_fraction,
-                derive_seed(master, streams.PARTICIPANTS, round_no),
-            )
-            rds_seed = derive_seed(master, streams.SELECTION, round_no)
-            jobs = [(round_no, int(cid), rds_seed) for cid in participants]
-            results = list(run_jobs(lambda args: client_round(*args), jobs))
 
-            updates = []
+        def per_client(job, round_no, clients, args):
+            """job(round_no, client, arg) for each client through the pool, lazily
+            and in client order; a NumericError names the round and the client."""
+
+            def named(client_id, arg):
+                try:
+                    return job(round_no, client_id, arg)
+                except NumericError as exc:
+                    raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
+
+            return run_jobs(named, clients, args)
+
+        for round_no in range(1, config.rounds + 1):
+            participants = [
+                int(cid)
+                for cid in sample_participants(
+                    config.num_clients,
+                    config.participation_fraction,
+                    derive_seed(master, streams.PARTICIPANTS, round_no),
+                )
+            ]
+            rds_seed = derive_seed(master, streams.SELECTION, round_no)
+            # Selection fixes every client's count, hence the total weight, so
+            # each update can be folded into the head as it arrives and dropped.
+            selections = list(
+                per_client(select_client, round_no, participants, repeat(rds_seed))
+            )
+            fold = UpdateFold(sum(len(chosen.selected_indices) for chosen, _ in selections))
+            trained = per_client(
+                train_client, round_no, participants, [chosen for chosen, _ in selections]
+            )
             selected_counts: dict[int, int] = {}
-            for (update, chosen, selection_seconds, kept_model) in results:
+            for (chosen, selection_seconds), (update, kept_model) in zip(selections, trained):
                 if selection_hook is not None:
                     selection_hook(round_no, update.client_id, chosen)
                 if kept_model is not None:
                     client_model_hook(round_no, update.client_id, kept_model)
                 cumulative_time += selection_seconds + update.train_time_seconds
                 selected_counts[update.client_id] = update.selected_count
-                updates.append(update)
+                fold.add(update)
 
-            nn.set_theta(head, aggregate(updates))
+            nn.set_theta(head, fold.result())
             accuracy, loss = evaluate_model(head, test_rows)
             report = RoundReport(
                 round=round_no,
-                participants=[int(c) for c in participants],
+                participants=participants,
                 test_accuracy=accuracy,
                 test_loss=loss,
                 cumulative_client_train_time=cumulative_time,

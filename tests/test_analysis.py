@@ -116,6 +116,25 @@ def test_pairwise_matrix_is_symmetric_with_unit_diagonal():
     assert np.abs(np.diag(matrix.values) - 1.0).max() < 1e-9
 
 
+@pytest.mark.parametrize("level", analysis.LAYER_LEVELS)
+def test_pairwise_equals_linear_cka_bitwise_for_every_pair(level):
+    probe = probe_dataset()
+    models = [nn.build_mlp(6, (8, 8), 3, split_index=4, seed=s) for s in range(4)]
+    matrix = analysis.pairwise_cka(models, probe, level)
+    acts = [analysis.probe_activations(m, probe.features, level) for m in models]
+    for i in range(len(models)):
+        for j in range(i, len(models)):
+            assert matrix.values[i, j] == analysis.linear_cka(acts[i], acts[j])
+            assert matrix.values[j, i] == matrix.values[i, j]
+
+
+def test_pairwise_rejects_a_single_row_probe():
+    probe = probe_dataset().subset(np.array([0]))
+    models = [nn.build_mlp(6, (8, 8), 3, split_index=4, seed=s) for s in range(2)]
+    with pytest.raises(ParameterError):
+        analysis.pairwise_cka(models, probe, "low")
+
+
 def test_pairwise_rejects_architecture_mismatch():
     probe = probe_dataset()
     a = nn.build_mlp(6, (8, 8), 3, split_index=4, seed=11)

@@ -1,9 +1,17 @@
 """Pretraining, local updates, aggregation, round loop."""
 
+import dataclasses
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fedsim import data, nn, selection
+from fedsim import data, federation, nn, selection
 from fedsim import rng as streams
 from fedsim.data import ClientPartition, PartitionSpec
 from fedsim.errors import ConfigError, NumericError, ParameterError, ProtocolError
@@ -11,6 +19,7 @@ from fedsim.federation import (
     SECONDS_PER_FLOP,
     ClientUpdate,
     FederationConfig,
+    UpdateFold,
     aggregate,
     client_local_update,
     evaluate_model,
@@ -329,6 +338,82 @@ def test_aggregate_rejects_bad_inputs():
         aggregate([mk_update(0, [np.zeros(2)], 0)])
 
 
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def client_updates(draw, min_size=1):
+    """Updates with distinct ids in random order, counts >= 1, shared shapes."""
+    shapes = draw(st.lists(hnp.array_shapes(max_dims=2, max_side=4), min_size=1, max_size=3))
+    k = draw(st.integers(min_size, 6))
+    ids = draw(st.lists(st.integers(0, 50), min_size=k, max_size=k, unique=True))
+    counts = draw(st.lists(st.integers(1, 500), min_size=k, max_size=k))
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    return [
+        mk_update(cid, [draw(hnp.arrays(np.float64, shape, elements=values)) for shape in shapes], n)
+        for cid, n in zip(ids, counts)
+    ]
+
+
+@PROPERTY
+@given(st.data())
+def test_aggregate_is_bitwise_permutation_invariant(data_):
+    updates = data_.draw(client_updates())
+    shuffled = data_.draw(st.permutations(updates))
+    for a, b in zip(aggregate(updates), aggregate(shuffled)):
+        assert np.array_equal(a, b)
+
+
+@PROPERTY
+@given(client_updates())
+def test_aggregate_stays_within_the_inputs_to_a_few_ulps(updates):
+    merged = aggregate(updates)
+    for p, result in enumerate(merged):
+        stacked = np.stack([u.theta[p] for u in updates])
+        # each weight, product and partial sum rounds once
+        slack = 4 * len(updates) * np.spacing(np.abs(stacked).max(axis=0))
+        assert (result >= stacked.min(axis=0) - slack).all()
+        assert (result <= stacked.max(axis=0) + slack).all()
+
+
+@PROPERTY
+@given(client_updates())
+def test_fold_in_ascending_order_equals_aggregate(updates):
+    fold = UpdateFold(sum(u.selected_count for u in updates))
+    for update in sorted(updates, key=lambda u: u.client_id):
+        fold.add(update)
+    for a, b in zip(fold.result(), aggregate(updates)):
+        assert np.array_equal(a, b)
+
+
+@PROPERTY
+@given(
+    client_updates(min_size=2),
+    st.sampled_from(["duplicate id", "out of order", "zero count", "shape", "total"]),
+)
+def test_fold_rejects_a_broken_stream(updates, fault):
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    total = sum(u.selected_count for u in ordered)
+    first, last = ordered[0], ordered[-1]
+    if fault == "duplicate id":
+        ordered[1] = dataclasses.replace(ordered[1], client_id=first.client_id)
+    elif fault == "out of order":
+        ordered[0], ordered[1] = ordered[1], ordered[0]
+    elif fault == "zero count":
+        total -= last.selected_count
+        ordered[-1] = dataclasses.replace(last, selected_count=0)
+    elif fault == "shape":
+        grown = [np.append(last.theta[0], 0.0), *last.theta[1:]]
+        ordered[-1] = dataclasses.replace(last, theta=grown)
+    else:
+        total += 1
+    fold = UpdateFold(total)
+    with pytest.raises(ProtocolError):
+        for update in ordered:
+            fold.add(update)
+        fold.result()
+
+
 # --- participant sampling -------------------------------------------------------------
 
 
@@ -584,3 +669,56 @@ def test_split_zero_reports_are_unchanged_by_the_cache(strategy):
         if isinstance(a, nn.DenseLayer):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
+
+
+# --- streaming aggregation ---------------------------------------------------------
+
+
+def test_a_round_holds_at_most_two_client_updates(monkeypatch):
+    live = weakref.WeakSet()
+
+    class TrackedUpdate(ClientUpdate):
+        __hash__ = object.__hash__  # a WeakSet hashes its members
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            live.add(self)
+
+    monkeypatch.setattr(federation, "ClientUpdate", TrackedUpdate)
+    source, train, test, parts = small_setup()
+    config = small_config(strategy="fedavg", rounds=3, p_ds=1.0)
+    held = []
+
+    def hook(round_no, client_id, model):
+        gc.collect()
+        held.append(len(live))
+
+    run_federation(config, source, train, parts, test, threads=1, client_model_hook=hook)
+    assert len(held) == config.rounds * config.num_clients
+    assert 1 <= max(held) <= 2
+
+
+def test_hooks_fire_in_client_order_selection_first_with_three_threads():
+    source, train, test, parts = small_setup()
+    config = small_config(strategy="fedft_eds", rounds=3, participation_fraction=0.6)
+    events, threads = [], set()
+
+    def record(kind):
+        def hook(round_no, client_id, _):
+            threads.add(threading.current_thread())
+            events.append((round_no, client_id, kind))
+        return hook
+
+    reports, _ = run_federation(
+        config, source, train, parts, test, threads=3,
+        client_model_hook=record("model"), selection_hook=record("selection"),
+    )
+    assert threads == {threading.main_thread()}
+    for report in reports:
+        assert report.participants == sorted(report.participants)
+    assert events == [
+        (report.round, cid, kind)
+        for report in reports
+        for cid in report.participants
+        for kind in ("selection", "model")
+    ]
