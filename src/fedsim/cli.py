@@ -164,7 +164,7 @@ class ExperimentConfig:
         ds = self.dataset
         if ds["num_classes"] < 1 or ds["samples_per_class"] < 1 or ds["feature_dim"] < 1:
             raise ConfigError("synthetic dataset counts must be >= 1")
-        if ds["class_separation"] < 0.0:
+        if not ds["class_separation"] >= 0.0:
             raise ConfigError("dataset.class_separation must be >= 0")
         if not 0.0 < ds["source_fraction"] < 1.0:
             raise ConfigError("dataset.source_fraction must be in (0, 1)")
@@ -183,7 +183,7 @@ class ExperimentConfig:
         if self.analysis["histogram_bins"] < 2:
             raise ConfigError("analysis.histogram_bins must be >= 2")
         rhos = self.analysis["histogram_rhos"]
-        if any(r <= 0.0 for r in rhos):
+        if not all(r > 0.0 for r in rhos):
             raise ConfigError("analysis.histogram_rhos must be positive")
         names = [_histogram_file_name(r) for r in rhos]
         if len(set(names)) != len(names):
@@ -573,9 +573,17 @@ def _load_run_summary(run_dir: Path, threshold: float) -> dict:
     if not manifest_path.exists():
         raise ConfigError(f"{run_dir} has no manifest.json (not a completed run?)")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    try:
+        fed = manifest["config"]["federation"]
+        strategy = fed["strategy"]
+        p_ds, f_n = float(fed["p_ds"]), float(fed["participation_fraction"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{manifest_path} lacks a run's federation settings: {exc!r}") from exc
     reports = read_reports_csv(run_dir / "reports.csv")
-    fed = manifest["config"]["federation"]
     best_acc = max((r.test_accuracy for r in reports), default=float("nan"))
     efficiency = analysis.learning_efficiency(reports) if reports else float("nan")
     rounds_to_threshold = None
@@ -585,9 +593,9 @@ def _load_run_summary(run_dir: Path, threshold: float) -> dict:
             break
     return {
         "run": run_dir.name,
-        "strategy": fed["strategy"],
-        "p_ds": fed["p_ds"],
-        "f_n": fed["participation_fraction"],
+        "strategy": strategy,
+        "p_ds": p_ds,
+        "f_n": f_n,
         "best_acc": best_acc,
         "learning_efficiency": efficiency,
         "rounds_to_threshold": rounds_to_threshold,

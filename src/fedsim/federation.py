@@ -1,11 +1,14 @@
 """Round loop: pretraining, client sampling, local updates, aggregation.
 
-One round samples the participating clients, lets each select a per-round
-training subset according to the configured strategy, runs E local epochs on
-that subset and aggregates the uploaded head parameters weighted by the
-number of samples each client actually trained on. The frozen feature
-extractor is fixed once pretraining ends, so its output is computed once per
-sample and the rounds run on the head alone.
+One round samples the participating clients and runs one job per
+participant: select a per-round training subset according to the configured
+strategy, then run E local epochs on that subset. The uploaded head
+parameters are aggregated weighted by the number of samples each client
+actually trained on; every selector keeps a count fixed by the client's size,
+so the total weight is known before any job runs and each upload is folded
+in as it arrives. The frozen feature extractor is fixed once pretraining
+ends, so its output is computed once per sample and the rounds run on the
+head alone.
 
 Client "training time" is a deterministic device-effort model (sample visits
 times per-sample cost at a nominal 1 GFLOP/s), not measured wall clock, so
@@ -16,9 +19,9 @@ from __future__ import annotations
 
 import csv
 import logging
-from itertools import repeat
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +31,9 @@ from . import rng as streams
 from .data import ClientPartition, Dataset, partition_covers
 from .errors import ConfigError, NumericError, ParameterError, ProtocolError
 from .rng import derive_rng, derive_seed
-from .selection import SelectionResult, select_all, select_by_entropy, select_random
+from .selection import (
+    SelectionResult, select_all, select_by_entropy, select_random, selection_count
+)
 
 log = logging.getLogger("fedsim.federation")
 
@@ -98,7 +103,7 @@ class FederationConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.prox_mu < 0.0:
+        if not self.prox_mu >= 0.0:
             raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -148,7 +153,7 @@ class RoundReport:
     test_accuracy: float
     test_loss: float
     cumulative_client_train_time: float
-    selected_counts: dict[int, int] = field(default_factory=dict)
+    total_selected: int = 0
     comm_bytes: int = 0
 
 
@@ -161,9 +166,18 @@ def _run_epochs(
     batch_size: int,
     epoch_seeds: list[int],
     prox_mu: float = 0.0,
-    theta_ref: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> None:
-    """Mini-batch SGD in place; one shuffle per epoch from the given seeds."""
+    """Mini-batch SGD in place; one shuffle per epoch from the given seeds.
+
+    A nonzero prox_mu adds the FedProx pull mu * (theta - theta_t) to every
+    gradient, theta_t being the trainable layers as this call found them.
+    """
+    theta_ref = None
+    if prox_mu != 0.0:
+        theta_ref = {
+            idx: (model.layers[idx].weights.copy(), model.layers[idx].bias.copy())
+            for idx in model.trainable_layer_indices()
+        }
     n = features.shape[0]
     for epoch in range(epochs):
         order = derive_rng(epoch_seeds[epoch]).permutation(n)
@@ -172,21 +186,13 @@ def _run_epochs(
             xb = features[chosen]
             yb = labels[chosen]
             grads = nn.backward(model, xb, yb)
-            if prox_mu != 0.0 and theta_ref is not None:
+            if theta_ref is not None:
                 for idx, (dw, db) in grads.by_layer.items():
                     layer = model.layers[idx]
                     ref_w, ref_b = theta_ref[idx]
                     dw += prox_mu * (layer.weights - ref_w)
                     db += prox_mu * (layer.bias - ref_b)
             nn.sgd_step(model, grads, opt)
-
-
-def _train_time_seconds(
-    model: nn.Model, sample_visits: int, flops_per_sample: int | None
-) -> float:
-    if flops_per_sample is None:
-        flops_per_sample = nn.forward_flops_per_sample(model) + nn.backward_flops_per_sample(model)
-    return sample_visits * flops_per_sample * SECONDS_PER_FLOP
 
 
 def pretrain(
@@ -239,6 +245,35 @@ def initial_model(config: FederationConfig, source: Dataset, train: Dataset) -> 
     )
 
 
+def _local_update(
+    client_id: int,
+    model: nn.Model,
+    data: Dataset,
+    epochs: int,
+    opt: nn.OptimizerState,
+    prox_mu: float,
+    batch_size: int,
+    epoch_seeds: list[int],
+    flops_per_sample: int | None,
+) -> ClientUpdate:
+    """The body of both local updates; prox_mu = 0 is the plain update."""
+    if len(data) < 1:
+        raise ParameterError("client update needs a nonempty selected subset")
+    if len(epoch_seeds) < epochs:
+        raise ParameterError(f"need {epochs} epoch seeds, got {len(epoch_seeds)}")
+    if not prox_mu >= 0.0:
+        raise ParameterError(f"prox_mu must be >= 0, got {prox_mu}")
+    _run_epochs(model, data.features, data.labels, epochs, opt, batch_size, epoch_seeds, prox_mu)
+    if flops_per_sample is None:
+        flops_per_sample = nn.forward_flops_per_sample(model) + nn.backward_flops_per_sample(model)
+    return ClientUpdate(
+        client_id=client_id,
+        theta=nn.copy_theta(model),
+        selected_count=len(data),
+        train_time_seconds=epochs * len(data) * flops_per_sample * SECONDS_PER_FLOP,
+    )
+
+
 def client_local_update(
     client_id: int,
     model: nn.Model,
@@ -257,16 +292,8 @@ def client_local_update(
     A head trained on cached frozen features passes the full model's cost,
     so the frozen forward the device would run is still charged.
     """
-    if len(selected) < 1:
-        raise ParameterError("client update needs a nonempty selected subset")
-    if len(epoch_seeds) < epochs:
-        raise ParameterError(f"need {epochs} epoch seeds, got {len(epoch_seeds)}")
-    _run_epochs(model, selected.features, selected.labels, epochs, opt, batch_size, epoch_seeds)
-    return ClientUpdate(
-        client_id=client_id,
-        theta=nn.copy_theta(model),
-        selected_count=len(selected),
-        train_time_seconds=_train_time_seconds(model, epochs * len(selected), flops_per_sample),
+    return _local_update(
+        client_id, model, selected, epochs, opt, 0.0, batch_size, epoch_seeds, flops_per_sample
     )
 
 
@@ -285,30 +312,8 @@ def fedprox_local_update(
 
     The modeled time is charged as in client_local_update.
     """
-    if prox_mu < 0.0:
-        raise ParameterError(f"prox_mu must be >= 0, got {prox_mu}")
-    if len(data) < 1:
-        raise ParameterError("client update needs a nonempty selected subset")
-    theta_ref = {
-        idx: (model.layers[idx].weights.copy(), model.layers[idx].bias.copy())
-        for idx in model.trainable_layer_indices()
-    }
-    _run_epochs(
-        model,
-        data.features,
-        data.labels,
-        epochs,
-        opt,
-        batch_size,
-        epoch_seeds,
-        prox_mu=prox_mu,
-        theta_ref=theta_ref,
-    )
-    return ClientUpdate(
-        client_id=client_id,
-        theta=nn.copy_theta(model),
-        selected_count=len(data),
-        train_time_seconds=_train_time_seconds(model, epochs * len(data), flops_per_sample),
+    return _local_update(
+        client_id, model, data, epochs, opt, prox_mu, batch_size, epoch_seeds, flops_per_sample
     )
 
 
@@ -416,10 +421,13 @@ def run_federation(
     """Full protocol: pretrain, then T rounds of select/update/aggregate.
 
     `train` is the client-side pool covered by `partitions`; `test` is the
-    held-out split evaluated after every round. Hooks fire on the main
-    thread in ascending client order, `selection_hook` before
-    `client_model_hook`, as each client's update is folded into the global
-    head; a round holds only the client models still in flight.
+    held-out split evaluated after every round. Each participant's round is
+    one job, selection then local update, run inline at `threads` 1 and on a
+    pool of `threads` workers otherwise, with at most 2 * threads jobs
+    submitted ahead of the one being folded. Hooks fire on the main thread
+    in ascending client order, `selection_hook` before `client_model_hook`,
+    as each client's update is folded into the global head; a round holds
+    only the client models still in flight.
     Returns the round reports and the global model after the last round.
     """
     config.validate()
@@ -445,6 +453,10 @@ def run_federation(
     test_rows = _frozen_rows(model, test, test_blocks, head.input_dim)
     train_rows = _frozen_rows(model, train, [p.sample_indices for p in partitions], head.input_dim)
     p_ds = config.effective_p_ds
+    # Every selector keeps selection_count(n, p_ds) samples, so each round's
+    # total weight is known before any job runs and each update can be folded
+    # into the head as it arrives, then dropped.
+    kept_counts = [selection_count(len(part), p_ds) for part in partitions]
     # device time is charged for the full model, frozen forward included
     forward_flops = nn.forward_flops_per_sample(model)
     train_flops = forward_flops + nn.backward_flops_per_sample(model)
@@ -452,69 +464,81 @@ def run_federation(
     cumulative_time = 0.0
     reports: list[RoundReport] = []
 
-    def select_client(round_no: int, client_id: int, rds_seed: int):
-        part = partitions[client_id]
-        if p_ds >= 1.0:
-            return select_all(part), 0.0
-        if config.strategy == "fedft_eds":
-            chosen = select_by_entropy(head, train_rows, part, p_ds, config.rho)
-            return chosen, len(part) * forward_flops * SECONDS_PER_FLOP
-        return select_random(part, p_ds, rds_seed), 0.0
-
-    def train_client(round_no: int, client_id: int, chosen: SelectionResult):
-        client_head = head.copy()
-        subset = train_rows.subset(chosen.selected_indices)
-        opt = nn.OptimizerState(learning_rate=config.learning_rate, momentum=config.momentum)
-        epoch_seeds = [
-            derive_seed(master, streams.SHUFFLE, round_no, client_id, epoch)
-            for epoch in range(config.local_epochs)
-        ]
-        if config.strategy == "fedprox":
-            update = fedprox_local_update(
-                client_id,
-                client_head,
-                subset,
-                config.local_epochs,
-                opt,
-                config.prox_mu,
-                config.batch_size,
-                epoch_seeds,
-                train_flops,
-            )
-        else:
-            update = client_local_update(
-                client_id,
-                client_head,
-                subset,
-                config.local_epochs,
-                opt,
-                config.batch_size,
-                epoch_seeds,
-                train_flops,
-            )
+    def client_round(round_no: int, client_id: int):
+        """Select, then train on the selection. Returns (selection, selection
+        seconds, update, model for the hook); a NumericError names the round
+        and the client."""
+        try:
+            part = partitions[client_id]
+            selection_seconds = 0.0
+            if p_ds >= 1.0:
+                chosen = select_all(part)
+            elif config.strategy == "fedft_eds":
+                chosen = select_by_entropy(head, train_rows, part, p_ds, config.rho)
+                selection_seconds = len(part) * forward_flops * SECONDS_PER_FLOP
+            else:
+                chosen = select_random(part, p_ds, derive_seed(master, streams.SELECTION, round_no))
+            client_head = head.copy()
+            subset = train_rows.subset(chosen.selected_indices)
+            opt = nn.OptimizerState(learning_rate=config.learning_rate, momentum=config.momentum)
+            epoch_seeds = [
+                derive_seed(master, streams.SHUFFLE, round_no, client_id, epoch)
+                for epoch in range(config.local_epochs)
+            ]
+            if config.strategy == "fedprox":
+                update = fedprox_local_update(
+                    client_id,
+                    client_head,
+                    subset,
+                    config.local_epochs,
+                    opt,
+                    config.prox_mu,
+                    config.batch_size,
+                    epoch_seeds,
+                    train_flops,
+                )
+            else:
+                update = client_local_update(
+                    client_id,
+                    client_head,
+                    subset,
+                    config.local_epochs,
+                    opt,
+                    config.batch_size,
+                    epoch_seeds,
+                    train_flops,
+                )
+        except NumericError as exc:
+            raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
         kept_model = None
         if client_model_hook is not None:
             # the frozen layer objects are the global model's own
             kept_model = nn.Model(
                 model.layers[:split] + client_head.layers, split, model.num_classes
             )
-        return update, kept_model
+        return chosen, selection_seconds, update, kept_model
 
-    # No worker thread starts unless jobs are submitted, i.e. threads > 1.
+    # No worker thread starts unless a job is submitted, i.e. threads > 1.
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        run_jobs = pool.map if threads > 1 else map
 
-        def per_client(job, round_no, clients, args):
-            """job(round_no, client, arg) for each client through the pool, lazily
-            and in client order; a NumericError names the round and the client."""
-
-            def named(client_id, arg):
-                try:
-                    return job(round_no, client_id, arg)
-                except NumericError as exc:
-                    raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
-
-            return run_jobs(named, clients, args)
+        def client_rounds(round_no: int, clients: list[int]):
+            """client_round for each client in client order; at threads > 1 at
+            most 2 * threads jobs run ahead, so updates cannot pile up behind
+            a slow hook."""
+            if threads == 1:
+                yield from (client_round(round_no, c) for c in clients)
+                return
+            ahead = deque()
+            try:
+                for client_id in clients:
+                    ahead.append(pool.submit(client_round, round_no, client_id))
+                    if len(ahead) > 2 * threads:
+                        yield ahead.popleft().result()
+                while ahead:
+                    yield ahead.popleft().result()
+            finally:
+                for future in ahead:
+                    future.cancel()
 
         for round_no in range(1, config.rounds + 1):
             participants = [
@@ -525,24 +549,15 @@ def run_federation(
                     derive_seed(master, streams.PARTICIPANTS, round_no),
                 )
             ]
-            rds_seed = derive_seed(master, streams.SELECTION, round_no)
-            # Selection fixes every client's count, hence the total weight, so
-            # each update can be folded into the head as it arrives and dropped.
-            selections = list(
-                per_client(select_client, round_no, participants, repeat(rds_seed))
-            )
-            fold = UpdateFold(sum(len(chosen.selected_indices) for chosen, _ in selections))
-            trained = per_client(
-                train_client, round_no, participants, [chosen for chosen, _ in selections]
-            )
-            selected_counts: dict[int, int] = {}
-            for (chosen, selection_seconds), (update, kept_model) in zip(selections, trained):
+            fold = UpdateFold(sum(kept_counts[c] for c in participants))
+            for chosen, selection_seconds, update, kept_model in client_rounds(
+                round_no, participants
+            ):
                 if selection_hook is not None:
                     selection_hook(round_no, update.client_id, chosen)
                 if kept_model is not None:
                     client_model_hook(round_no, update.client_id, kept_model)
                 cumulative_time += selection_seconds + update.train_time_seconds
-                selected_counts[update.client_id] = update.selected_count
                 fold.add(update)
 
             nn.set_theta(head, fold.result())
@@ -553,7 +568,7 @@ def run_federation(
                 test_accuracy=accuracy,
                 test_loss=loss,
                 cumulative_client_train_time=cumulative_time,
-                selected_counts=selected_counts,
+                total_selected=fold.total,
                 comm_bytes=len(participants) * 2 * theta_count * 8,
             )
             reports.append(report)
@@ -582,26 +597,37 @@ def write_reports_csv(reports: list[RoundReport], strategy: str, path) -> None:
                     repr(float(r.test_accuracy)),
                     repr(float(r.test_loss)),
                     repr(float(r.cumulative_client_train_time)),
-                    sum(r.selected_counts.values()),
+                    r.total_selected,
                 ]
             )
 
 
 def read_reports_csv(path) -> list[RoundReport]:
-    """Parse a CSV written by write_reports_csv (selection detail is lossy)."""
+    """Parse a CSV written by write_reports_csv (strategy and comm_bytes are not kept).
+
+    A file without the report columns, or with a row that does not parse,
+    raises ConfigError naming the file.
+    """
     reports = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in REPORT_CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path} lacks the report columns {', '.join(missing)}")
         for row in reader:
-            participants = [int(c) for c in row["participants"].split(";") if c]
-            reports.append(
-                RoundReport(
-                    round=int(row["round"]),
-                    participants=participants,
-                    test_accuracy=float(row["test_acc"]),
-                    test_loss=float(row["test_loss"]),
-                    cumulative_client_train_time=float(row["cum_client_time_s"]),
-                    selected_counts={},
+            try:
+                reports.append(
+                    RoundReport(
+                        round=int(row["round"]),
+                        participants=[int(c) for c in row["participants"].split(";") if c],
+                        test_accuracy=float(row["test_acc"]),
+                        test_loss=float(row["test_loss"]),
+                        cumulative_client_train_time=float(row["cum_client_time_s"]),
+                        total_selected=int(row["total_selected"]),
+                    )
                 )
-            )
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{path}, line {reader.line_num}: bad report row ({exc})"
+                ) from exc
     return reports

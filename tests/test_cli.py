@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: generate, run, compare, analyses, manifests."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -87,6 +88,31 @@ def test_run_is_byte_identical_across_reruns_and_threads(tmp_path):
     assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
 
 
+TOGGLES = [
+    "--analysis.cka", "true",
+    "--analysis.selection_dump", "true",
+    "--analysis.entropy_histogram", "true",
+]
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedft_rds", "fedft_eds", "fedft_all"])
+def test_every_output_is_byte_identical_across_threads(tmp_path, strategy):
+    outputs = {}
+    for threads in (1, 3):
+        out = tmp_path / f"t{threads}"
+        generate(out)
+        code = run_cli([
+            "run", "--out", out, "--seed", 5, "--threads", threads, *TINY,
+            "--strategy", strategy, *TOGGLES,
+        ])
+        assert code == 0
+        outputs[threads] = {
+            p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"
+        }
+    assert {"reports.csv", "model.ckpt", "selection_dump.csv", "cka_up.csv"} <= set(outputs[1])
+    assert outputs[1] == outputs[3]
+
+
 def test_run_requires_datasets(tmp_path):
     out = tmp_path / "missing"
     code = run_cli(["run", "--out", out, "--seed", 5, *TINY])
@@ -98,6 +124,27 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
     generate(out)
     code = run_cli(["run", "--out", out, "--seed", 5, *TINY, "--p-ds", "1.5"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("run", ["--federation.prox_mu", "nan"]),
+        ("run", ["--analysis.entropy_histogram", "true", "--analysis.histogram_rhos", "nan"]),
+        ("generate", ["--dataset.class_separation", "nan"]),
+    ],
+    ids=["prox_mu", "histogram_rhos", "class_separation"],
+)
+def test_nan_settings_are_rejected_before_compute(tmp_path, capsys, command, flags):
+    out = tmp_path / "nan"
+    if command == "run":
+        generate(out)
+    capsys.readouterr()
+    assert run_cli([command, "--out", out, "--seed", 5, *TINY, *flags]) == 2
+    assert flags[-2].split(".")[-1] in capsys.readouterr().err
+    assert not (out / "reports.csv").exists()
+    if command == "generate":
+        assert not (out / "source.feds").exists()
 
 
 def test_same_named_dataset_files_are_rejected(tmp_path, capsys):
@@ -172,6 +219,32 @@ def test_compare_refuses_mismatched_datasets(tmp_path, capsys):
     code = run_cli(["compare", out_a, out_b])
     assert code == 2
     assert "refusing to compare" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("manifest.json", "{not json"),
+        ("manifest.json", '{"command": "run"}'),
+        ("manifest.json", json.dumps({"config": {"federation": {
+            "strategy": "fedavg", "p_ds": "half", "participation_fraction": 1.0,
+        }}})),
+        ("reports.csv", "round,test_acc\n1,0.5\n"),
+    ],
+    ids=["manifest not json", "manifest without config", "non-numeric p_ds",
+         "reports without columns"],
+)
+def test_compare_reports_a_malformed_run_directory(tmp_path, capsys, name, text):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    generate(good)
+    assert run_cli(["run", "--out", good, "--seed", 5, *TINY, "--rounds", "1"]) == 0
+    shutil.copytree(good, bad)
+    (bad / name).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["compare", good, bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(bad / name) in err
 
 
 def test_compare_pretraining_wins_early(tmp_path):

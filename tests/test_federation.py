@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -26,8 +27,10 @@ from fedsim.federation import (
     fedprox_local_update,
     initial_model,
     pretrain,
+    read_reports_csv,
     run_federation,
     sample_participants,
+    write_reports_csv,
 )
 from fedsim.rng import derive_rng, derive_seed
 
@@ -258,6 +261,16 @@ def test_fedprox_applies_proximal_pull_on_later_steps():
         assert np.allclose(model.layers[idx].weights, replay.layers[idx].weights, atol=1e-15)
         assert np.allclose(model.layers[idx].bias, replay.layers[idx].bias, atol=1e-15)
 
+
+def test_fedprox_with_too_few_epoch_seeds_fails_before_training():
+    _, train, _, parts = small_setup()
+    model = nn.build_mlp(8, (16,), 4, split_index=2, seed=15)
+    before = nn.copy_theta(model)
+    subset = train.subset(parts[0].sample_indices)
+    with pytest.raises(ParameterError, match="epoch seeds"):
+        fedprox_local_update(0, model, subset, 3, nn.OptimizerState(0.1, 0.5), 0.01, 8, [1, 2])
+    for a, b in zip(before, nn.copy_theta(model)):
+        assert np.array_equal(a, b)
 
 # --- aggregation -------------------------------------------------------------------
 
@@ -698,6 +711,39 @@ def test_a_round_holds_at_most_two_client_updates(monkeypatch):
     assert 1 <= max(held) <= 2
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_a_slow_hook_holds_at_most_two_jobs_per_thread_ahead(monkeypatch, threads):
+    live, made_on = weakref.WeakSet(), set()
+
+    class TrackedUpdate(ClientUpdate):
+        __hash__ = object.__hash__  # a WeakSet hashes its members
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            live.add(self)
+            made_on.add(threading.current_thread())
+
+    monkeypatch.setattr(federation, "ClientUpdate", TrackedUpdate)
+    source, train, test, parts = small_setup(num_clients=20)
+    config = small_config(strategy="fedavg", rounds=3, p_ds=1.0, num_clients=20)
+    held = []
+
+    def hook(round_no, client_id, model):
+        # the workers finish jobs faster than the hook takes them; an update
+        # is in no reference cycle, so it leaves `live` when its last
+        # reference goes, without a gc.collect() (30 ms a call here)
+        time.sleep(0.01)
+        held.append(len(live))
+
+    run_federation(config, source, train, parts, test, threads=threads, client_model_hook=hook)
+    assert len(held) == config.rounds * config.num_clients
+    assert 1 <= max(held) <= 2 * threads + 1
+    if threads == 1:  # every job runs inline, on the caller's thread
+        assert made_on == {threading.main_thread()}
+    else:
+        assert threading.main_thread() not in made_on
+
+
 def test_hooks_fire_in_client_order_selection_first_with_three_threads():
     source, train, test, parts = small_setup()
     config = small_config(strategy="fedft_eds", rounds=3, participation_fraction=0.6)
@@ -722,3 +768,33 @@ def test_hooks_fire_in_client_order_selection_first_with_three_threads():
         for cid in report.participants
         for kind in ("selection", "model")
     ]
+
+
+def test_reports_round_trip_through_csv(tmp_path):
+    source, train, test, parts = small_setup()
+    config = small_config(strategy="fedft_rds", rounds=3, participation_fraction=0.6)
+    reports, _ = run_federation(config, source, train, parts, test)
+    for report in reports:
+        assert report.total_selected == sum(
+            selection.selection_count(len(parts[c]), config.p_ds) for c in report.participants
+        )
+    path = tmp_path / "reports.csv"
+    write_reports_csv(reports, config.strategy, path)
+    # comm_bytes is not a column
+    assert read_reports_csv(path) == [dataclasses.replace(r, comm_bytes=0) for r in reports]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "round,strategy,test_acc\n1,fedavg,0.5\n",
+        "round,strategy,participants,test_acc,test_loss,cum_client_time_s,total_selected\n"
+        "1,fedavg,0;1,0.5\n",
+    ],
+    ids=["missing columns", "short row"],
+)
+def test_malformed_reports_csv_is_a_config_error_naming_the_file(tmp_path, text):
+    path = tmp_path / "reports.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="reports.csv"):
+        read_reports_csv(path)

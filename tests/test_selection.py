@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import data, nn, selection
 from fedsim.data import ClientPartition
@@ -211,3 +213,45 @@ def test_entropy_and_random_agree_at_full_fraction():
     by_entropy = selection.select_by_entropy(model, ds, client, 1.0, 1.0)
     by_random = selection.select_random(client, 1.0, round_seed=1)
     assert np.array_equal(by_entropy.selected_indices, by_random.selected_indices)
+
+
+# --- properties ----------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+FRACTIONS = st.floats(0.0, 1.0, exclude_min=True)
+POOL = data.generate_synthetic(3, 40, 5, 1.5, seed=30)
+
+
+@PROPERTY
+@given(st.integers(1, 120), FRACTIONS, st.integers(0, 2**32), st.integers(0, 2**32))
+def test_every_selector_keeps_the_selection_count_from_the_client(n, p_ds, seed, round_seed):
+    # run_federation weights its fold by selection_count before any client selects
+    rng = np.random.default_rng(seed)
+    client = random_client(rng, len(POOL), n, client_id=int(rng.integers(100)))
+    model = nn.build_mlp(5, (6,), 3, split_index=0, seed=seed)
+    k = selection.selection_count(n, p_ds)
+    for result in (
+        selection.select_by_entropy(model, POOL, client, p_ds, float(rng.uniform(0.05, 2.0))),
+        selection.select_random(client, p_ds, round_seed),
+    ):
+        picked = result.selected_indices
+        assert len(picked) == k
+        assert (np.diff(picked) > 0).all()
+        assert np.isin(picked, client.sample_indices).all()
+    kept = selection.select_all(client).selected_indices
+    assert len(kept) == selection.selection_count(n, 1.0) == n
+    assert np.array_equal(kept, client.sample_indices)
+
+
+@PROPERTY
+@given(st.data())
+def test_top_k_follows_the_tie_rule_against_a_sorted_oracle(data_):
+    n = data_.draw(st.integers(1, 40))
+    indices = data_.draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
+    # few distinct levels, so most entropies tie
+    levels = data_.draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3))
+    entropies = data_.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    k = data_.draw(st.integers(1, n))
+    chosen = selection.top_k_by_entropy(np.array(indices), np.array(entropies), k)
+    ranked = sorted(zip(indices, entropies), key=lambda t: (-t[1], t[0]))
+    assert list(chosen) == sorted(idx for idx, _ in ranked[:k])
