@@ -127,17 +127,20 @@ def learning_efficiency(reports: list[RoundReport]) -> float:
 
 
 def entropy_histogram(
-    model: nn.Model, data: Dataset, rho: float, num_bins: int
-) -> np.ndarray:
-    """Counts of per-sample prediction entropies over [0, ln num_classes]."""
+    model: nn.Model, data: Dataset, rhos: tuple[float, ...], num_bins: int
+) -> list[np.ndarray]:
+    """Counts of per-sample prediction entropies over [0, ln num_classes],
+    one array per temperature in `rhos`, all from one forward pass."""
     if num_bins < 2:
         raise ParameterError(f"num_bins must be >= 2, got {num_bins}")
     logits, _ = nn.forward(model, data.features)
-    probs = nn.softmax_with_temperature(logits, rho)
-    entropies = entropy_rows(probs)
     edges = histogram_edges(data.num_classes, num_bins)
-    counts, _ = np.histogram(np.clip(entropies, 0.0, edges[-1]), bins=edges)
-    return counts
+    all_counts = []
+    for rho in rhos:
+        entropies = entropy_rows(nn.softmax_with_temperature(logits, rho))
+        counts, _ = np.histogram(np.clip(entropies, 0.0, edges[-1]), bins=edges)
+        all_counts.append(counts)
+    return all_counts
 
 
 def histogram_edges(num_classes: int, num_bins: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import logging
@@ -39,6 +38,7 @@ from .data import (
     load_dataset,
     save_dataset,
     stratified_split,
+    write_csv,
 )
 from .errors import ConfigError, FedsimError
 from .federation import (
@@ -69,8 +69,15 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(_parse_float(p) for p in text.split(",") if p.strip())
 
 
 # section -> key -> (parser, desk default). The desk size is 10-class blobs,
@@ -83,27 +90,27 @@ _SETTINGS = {
         "num_classes": (int, "10"),
         "samples_per_class": (int, "250"),
         "feature_dim": (int, "32"),
-        "class_separation": (float, "2.3"),
-        "source_fraction": (float, "0.6"),
+        "class_separation": (_parse_float, "2.3"),
+        "source_fraction": (_parse_float, "0.6"),
         "source_offdomain_per_class": (int, "150"),
-        "test_fraction": (float, "0.2"),
+        "test_fraction": (_parse_float, "0.2"),
         "source_path": (str, "source.feds"),
         "target_path": (str, "target.feds"),
     },
     "partition": {
-        "alpha": (float, "0.1"),
+        "alpha": (_parse_float, "0.1"),
     },
     "federation": {
         "strategy": (str, "fedft_eds"),
         "rounds": (int, "30"),
         "local_epochs": (int, "5"),
         "num_clients": (int, "20"),
-        "participation_fraction": (float, "1.0"),
-        "p_ds": (float, "0.5"),
-        "rho": (float, "0.1"),
-        "learning_rate": (float, "0.1"),
-        "momentum": (float, "0.5"),
-        "prox_mu": (float, "0.01"),
+        "participation_fraction": (_parse_float, "1.0"),
+        "p_ds": (_parse_float, "0.5"),
+        "rho": (_parse_float, "0.1"),
+        "learning_rate": (_parse_float, "0.1"),
+        "momentum": (_parse_float, "0.5"),
+        "prox_mu": (_parse_float, "0.01"),
         "batch_size": (int, "32"),
         "pretrain_epochs": (int, "13"),
         "split_index": (int, "2"),
@@ -429,10 +436,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if config.analysis["selection_dump"]:
         dump_path = out_dir / "selection_dump.csv"
-        with open(dump_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["round", "client_id", "sample_index", "entropy", "selected"])
-            writer.writerows(dump_rows)
+        header = ["round", "client_id", "sample_index", "entropy", "selected"]
+        write_csv(dump_path, header, dump_rows)
         outputs["selection_dump.csv"] = dump_path
 
     if config.analysis["cka"] and len(captured_models) >= 2:
@@ -470,11 +475,11 @@ def _write_cka(
     for level in analysis.LAYER_LEVELS:
         matrix = analysis.pairwise_cka(models, test, level)
         path = out_dir / f"cka_{level}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([str(cid) for cid, _ in captured])
-            for row in matrix.values:
-                writer.writerow([_fmt(v) for v in row])
+        write_csv(
+            path,
+            [str(cid) for cid, _ in captured],
+            ([_fmt(v) for v in row] for row in matrix.values),
+        )
         outputs[path.name] = path
         matrices.append(matrix)
     return matrices
@@ -497,17 +502,15 @@ def _write_entropy_histograms(
     Adds each file to outputs and returns the bin counts in rhos order.
     """
     edges = analysis.histogram_edges(train.num_classes, bins)
-    all_counts = []
-    for rho in rhos:
-        counts = analysis.entropy_histogram(model, train, rho, bins)
+    all_counts = analysis.entropy_histogram(model, train, rhos, bins)
+    for rho, counts in zip(rhos, all_counts):
         path = out_dir / _histogram_file_name(rho)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["bin_low", "bin_high", "count"])
-            for i, count in enumerate(counts):
-                writer.writerow([_fmt(edges[i]), _fmt(edges[i + 1]), int(count)])
+        write_csv(
+            path,
+            ["bin_low", "bin_high", "count"],
+            ([_fmt(edges[i]), _fmt(edges[i + 1]), int(count)] for i, count in enumerate(counts)),
+        )
         outputs[path.name] = path
-        all_counts.append(counts)
     return all_counts
 
 
@@ -634,10 +637,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         display = [cell if cell else "-" for cell in row]
         print("  ".join(display[i].ljust(widths[i]) for i in range(len(display))))
     if args.out_file:
-        with open(args.out_file, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        write_csv(args.out_file, header, rows)
     return 0
 
 

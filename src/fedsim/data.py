@@ -291,7 +291,13 @@ def load_dataset(path) -> Dataset:
         raise FormatError("header counts must be positive", 6)
     if num_classes > _MAX_CLASSES:
         raise FormatError(f"num_classes {num_classes} exceeds u16 label range", 22)
-    name = take(name_len, "name").decode("utf-8", errors="strict")
+    name_start = offset
+    try:
+        name = take(name_len, "name").decode("utf-8", errors="strict")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"dataset name is not UTF-8 ({exc.reason})", name_start + exc.start
+        ) from None
     features_start = offset
     features = np.frombuffer(take(8 * n * dim, "features"), dtype="<f8").reshape(n, dim)
     labels_start = offset
@@ -343,6 +349,14 @@ def import_csv(path, num_classes: int | None = None, name: str | None = None) ->
     )
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then `rows`, as CSV: comma separated, LF endings."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv_module.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def mean_client_label_entropy(dataset: Dataset, partitions: list[ClientPartition]) -> float:
     """Average per-client Shannon entropy of the label distribution (nats)."""
     entropies = []
@@ -365,5 +379,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "import_csv",
+    "write_csv",
     "mean_client_label_entropy",
 ]

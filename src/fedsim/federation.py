@@ -11,8 +11,10 @@ ends, so its output is computed once per sample and the rounds run on the
 head alone.
 
 Client "training time" is a deterministic device-effort model (sample visits
-times per-sample cost at a nominal 1 GFLOP/s), not measured wall clock, so
-that identical seeds give byte-identical reports regardless of scheduling.
+times the full model's per-sample cost at a nominal 1 GFLOP/s), not measured
+wall clock, so that identical seeds give byte-identical reports regardless of
+scheduling. Its inputs are all known before round 1, so the round loop fixes
+each client's charge then and adds it as that client's update is folded.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import nn
 from . import rng as streams
-from .data import ClientPartition, Dataset, partition_covers
+from .data import ClientPartition, Dataset, partition_covers, write_csv
 from .errors import ConfigError, NumericError, ParameterError, ProtocolError
 from .rng import derive_rng, derive_seed
 from .selection import (
@@ -143,7 +145,6 @@ class ClientUpdate:
     client_id: int
     theta: list[np.ndarray]
     selected_count: int
-    train_time_seconds: float
 
 
 @dataclass
@@ -254,7 +255,6 @@ def _local_update(
     prox_mu: float,
     batch_size: int,
     epoch_seeds: list[int],
-    flops_per_sample: int | None,
 ) -> ClientUpdate:
     """The body of both local updates; prox_mu = 0 is the plain update."""
     if len(data) < 1:
@@ -264,14 +264,7 @@ def _local_update(
     if not prox_mu >= 0.0:
         raise ParameterError(f"prox_mu must be >= 0, got {prox_mu}")
     _run_epochs(model, data.features, data.labels, epochs, opt, batch_size, epoch_seeds, prox_mu)
-    if flops_per_sample is None:
-        flops_per_sample = nn.forward_flops_per_sample(model) + nn.backward_flops_per_sample(model)
-    return ClientUpdate(
-        client_id=client_id,
-        theta=nn.copy_theta(model),
-        selected_count=len(data),
-        train_time_seconds=epochs * len(data) * flops_per_sample * SECONDS_PER_FLOP,
-    )
+    return ClientUpdate(client_id=client_id, theta=nn.copy_theta(model), selected_count=len(data))
 
 
 def client_local_update(
@@ -282,19 +275,12 @@ def client_local_update(
     opt: nn.OptimizerState,
     batch_size: int,
     epoch_seeds: list[int],
-    flops_per_sample: int | None = None,
 ) -> ClientUpdate:
     """E epochs of mini-batch SGD on the selected subset, head only.
 
-    Mutates the given model (the client's own copy of the global model) and
-    reports the modeled device-effort training time: flops_per_sample per
-    sample visit, by default the forward plus head-backward cost of `model`.
-    A head trained on cached frozen features passes the full model's cost,
-    so the frozen forward the device would run is still charged.
+    Mutates the given model (the client's own copy of the global model).
     """
-    return _local_update(
-        client_id, model, selected, epochs, opt, 0.0, batch_size, epoch_seeds, flops_per_sample
-    )
+    return _local_update(client_id, model, selected, epochs, opt, 0.0, batch_size, epoch_seeds)
 
 
 def fedprox_local_update(
@@ -306,15 +292,9 @@ def fedprox_local_update(
     prox_mu: float,
     batch_size: int,
     epoch_seeds: list[int],
-    flops_per_sample: int | None = None,
 ) -> ClientUpdate:
-    """Local update with a proximal pull mu * (theta - theta_t) added per step.
-
-    The modeled time is charged as in client_local_update.
-    """
-    return _local_update(
-        client_id, model, data, epochs, opt, prox_mu, batch_size, epoch_seeds, flops_per_sample
-    )
+    """Local update with a proximal pull mu * (theta - theta_t) added per step."""
+    return _local_update(client_id, model, data, epochs, opt, prox_mu, batch_size, epoch_seeds)
 
 
 class UpdateFold:
@@ -453,29 +433,35 @@ def run_federation(
     test_rows = _frozen_rows(model, test, test_blocks, head.input_dim)
     train_rows = _frozen_rows(model, train, [p.sample_indices for p in partitions], head.input_dim)
     p_ds = config.effective_p_ds
+    # one flag picks the entropy selector and charges its scoring pass
+    scores = config.strategy == "fedft_eds" and p_ds < 1.0
     # Every selector keeps selection_count(n, p_ds) samples, so each round's
     # total weight is known before any job runs and each update can be folded
     # into the head as it arrives, then dropped.
     kept_counts = [selection_count(len(part), p_ds) for part in partitions]
-    # device time is charged for the full model, frozen forward included
+    # So each client's device time is fixed too: scoring is one forward per
+    # sample, training E epochs over the kept samples, both charged for the
+    # full model, frozen part included.
     forward_flops = nn.forward_flops_per_sample(model)
     train_flops = forward_flops + nn.backward_flops_per_sample(model)
+    device_seconds = [
+        (len(part) * forward_flops * SECONDS_PER_FLOP if scores else 0.0)
+        + config.local_epochs * kept * train_flops * SECONDS_PER_FLOP
+        for part, kept in zip(partitions, kept_counts)
+    ]
     theta_count = nn.theta_param_count(model)
     cumulative_time = 0.0
     reports: list[RoundReport] = []
 
     def client_round(round_no: int, client_id: int):
-        """Select, then train on the selection. Returns (selection, selection
-        seconds, update, model for the hook); a NumericError names the round
-        and the client."""
+        """Select, then train on the selection. Returns (selection, update,
+        model for the hook); a NumericError names the round and the client."""
         try:
             part = partitions[client_id]
-            selection_seconds = 0.0
-            if p_ds >= 1.0:
-                chosen = select_all(part)
-            elif config.strategy == "fedft_eds":
+            if scores:
                 chosen = select_by_entropy(head, train_rows, part, p_ds, config.rho)
-                selection_seconds = len(part) * forward_flops * SECONDS_PER_FLOP
+            elif p_ds >= 1.0:
+                chosen = select_all(part)
             else:
                 chosen = select_random(part, p_ds, derive_seed(master, streams.SELECTION, round_no))
             client_head = head.copy()
@@ -495,7 +481,6 @@ def run_federation(
                     config.prox_mu,
                     config.batch_size,
                     epoch_seeds,
-                    train_flops,
                 )
             else:
                 update = client_local_update(
@@ -506,7 +491,6 @@ def run_federation(
                     opt,
                     config.batch_size,
                     epoch_seeds,
-                    train_flops,
                 )
         except NumericError as exc:
             raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
@@ -516,7 +500,7 @@ def run_federation(
             kept_model = nn.Model(
                 model.layers[:split] + client_head.layers, split, model.num_classes
             )
-        return chosen, selection_seconds, update, kept_model
+        return chosen, update, kept_model
 
     # No worker thread starts unless a job is submitted, i.e. threads > 1.
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -550,14 +534,12 @@ def run_federation(
                 )
             ]
             fold = UpdateFold(sum(kept_counts[c] for c in participants))
-            for chosen, selection_seconds, update, kept_model in client_rounds(
-                round_no, participants
-            ):
+            for chosen, update, kept_model in client_rounds(round_no, participants):
                 if selection_hook is not None:
                     selection_hook(round_no, update.client_id, chosen)
                 if kept_model is not None:
                     client_model_hook(round_no, update.client_id, kept_model)
-                cumulative_time += selection_seconds + update.train_time_seconds
+                cumulative_time += device_seconds[update.client_id]
                 fold.add(update)
 
             nn.set_theta(head, fold.result())
@@ -585,21 +567,19 @@ def run_federation(
 
 def write_reports_csv(reports: list[RoundReport], strategy: str, path) -> None:
     """Per-round metrics as CSV (comma separated, LF endings)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [
-                    r.round,
-                    strategy,
-                    ";".join(str(c) for c in r.participants),
-                    repr(float(r.test_accuracy)),
-                    repr(float(r.test_loss)),
-                    repr(float(r.cumulative_client_train_time)),
-                    r.total_selected,
-                ]
-            )
+    rows = (
+        [
+            r.round,
+            strategy,
+            ";".join(str(c) for c in r.participants),
+            repr(float(r.test_accuracy)),
+            repr(float(r.test_loss)),
+            repr(float(r.cumulative_client_train_time)),
+            r.total_selected,
+        ]
+        for r in reports
+    )
+    write_csv(path, REPORT_CSV_COLUMNS, rows)
 
 
 def read_reports_csv(path) -> list[RoundReport]:

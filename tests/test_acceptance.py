@@ -218,8 +218,7 @@ def test_criterion_2_oracle_equivalence():
         counts = rng.integers(1, 100, size=k)
         thetas = [rng.normal(size=(3, 4)) for _ in range(k)]
         updates = [
-            ClientUpdate(client_id=i, theta=[thetas[i]], selected_count=int(counts[i]),
-                         train_time_seconds=0.0)
+            ClientUpdate(client_id=i, theta=[thetas[i]], selected_count=int(counts[i]))
             for i in range(k)
         ]
         merged = aggregate(updates)[0]

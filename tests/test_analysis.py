@@ -206,7 +206,7 @@ def test_histogram_uniform_model_masses_top_bin():
     model = nn.Model(
         [nn.DenseLayer(np.zeros((4, 5)), np.zeros(4))], split_index=0, num_classes=4
     )
-    counts = analysis.entropy_histogram(model, ds, rho=1.0, num_bins=10)
+    (counts,) = analysis.entropy_histogram(model, ds, rhos=(1.0,), num_bins=10)
     assert counts[-1] == len(ds)
     assert counts[:-1].sum() == 0
 
@@ -214,17 +214,31 @@ def test_histogram_uniform_model_masses_top_bin():
 def test_histogram_counts_are_conserved():
     ds = data.generate_synthetic(5, 30, 6, 2.0, seed=15)
     model = nn.build_mlp(6, (8,), 5, split_index=0, seed=16)
-    for rho in (0.05, 1.0, 3.0):
-        counts = analysis.entropy_histogram(model, ds, rho=rho, num_bins=12)
+    all_counts = analysis.entropy_histogram(model, ds, rhos=(0.05, 1.0, 3.0), num_bins=12)
+    assert len(all_counts) == 3
+    for counts in all_counts:
         assert counts.sum() == len(ds)
+
+
+def test_histogram_runs_one_forward_for_every_temperature(monkeypatch):
+    ds = data.generate_synthetic(4, 30, 6, 2.0, seed=22)
+    model = nn.build_mlp(6, (8,), 4, split_index=2, seed=23)
+    calls = []
+    forward = nn.forward
+    monkeypatch.setattr(nn, "forward", lambda *args: calls.append(1) or forward(*args))
+    rhos = (0.1, 0.5, 1.0, 2.0)
+    together = analysis.entropy_histogram(model, ds, rhos, num_bins=15)
+    assert len(calls) == 1
+    # each temperature's counts are those of a call with that one temperature
+    for rho, counts in zip(rhos, together):
+        assert np.array_equal(counts, analysis.entropy_histogram(model, ds, (rho,), 15)[0])
 
 
 def test_histogram_hardening_shifts_mass_down():
     ds = data.generate_synthetic(4, 60, 6, 3.0, seed=17)
     model = nn.build_mlp(6, (12,), 4, split_index=0, seed=18)
     model = pretrain(model, ds, 10, 0.1, 0.5, 32, seed=19)
-    sharp = analysis.entropy_histogram(model, ds, rho=0.01, num_bins=20)
-    soft = analysis.entropy_histogram(model, ds, rho=1.0, num_bins=20)
+    sharp, soft = analysis.entropy_histogram(model, ds, rhos=(0.01, 1.0), num_bins=20)
     quartile = 5
     assert sharp[:quartile].sum() >= soft[:quartile].sum()
 
@@ -233,4 +247,4 @@ def test_histogram_rejects_too_few_bins():
     ds = data.generate_synthetic(2, 5, 3, 1.0, seed=20)
     model = nn.build_mlp(3, (4,), 2, split_index=0, seed=21)
     with pytest.raises(ParameterError):
-        analysis.entropy_histogram(model, ds, rho=1.0, num_bins=1)
+        analysis.entropy_histogram(model, ds, rhos=(1.0,), num_bins=1)

@@ -132,8 +132,17 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
         ("run", ["--federation.prox_mu", "nan"]),
         ("run", ["--analysis.entropy_histogram", "true", "--analysis.histogram_rhos", "nan"]),
         ("generate", ["--dataset.class_separation", "nan"]),
+        ("run", ["--federation.rho", "inf"]),
+        ("run", ["--partition.alpha", "inf"]),
+        ("run", ["--federation.prox_mu", "inf"]),
+        ("run", ["--federation.learning_rate", "inf"]),
+        ("run", ["--analysis.entropy_histogram", "true", "--analysis.histogram_rhos", "1.0,inf"]),
+        ("run", ["--dataset.class_separation", "inf"]),
     ],
-    ids=["prox_mu", "histogram_rhos", "class_separation"],
+    ids=[
+        "prox_mu", "histogram_rhos", "class_separation", "rho_inf", "alpha_inf", "prox_mu_inf",
+        "learning_rate_inf", "histogram_rhos_inf", "class_separation_inf",
+    ],
 )
 def test_nan_settings_are_rejected_before_compute(tmp_path, capsys, command, flags):
     out = tmp_path / "nan"
@@ -208,6 +217,8 @@ def test_compare_run_with_itself(tmp_path, capsys):
     rows = summary.read_text().splitlines()
     assert len(rows) == 3
     assert rows[1].split(",")[1:] == rows[2].split(",")[1:]
+    blob = summary.read_bytes()  # LF line endings, as every CSV fedsim writes
+    assert b"\r" not in blob and blob.count(b"\n") == 3 and blob.endswith(b"\n")
 
 
 def test_compare_refuses_mismatched_datasets(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Synthetic data, Dirichlet partitioning, dataset IO."""
+"""Synthetic data, Dirichlet partitioning, dataset IO, loader fuzz."""
 
 import numpy as np
 import pytest
@@ -203,6 +203,75 @@ def test_dataset_label_out_of_range(tmp_path):
     with pytest.raises(FormatError, match="num_classes") as err:
         data.load_dataset(path)
     assert err.value.offset == len(blob) - 2
+
+
+def test_dataset_name_that_is_not_utf8_is_a_format_error(tmp_path):
+    ds = data.generate_synthetic(2, 5, 3, 1.0, seed=16)
+    path = tmp_path / "ds.feds"
+    data.save_dataset(ds, path)
+    blob = bytearray(path.read_bytes())
+    name_start = len(data.DATASET_MAGIC) + 32
+    blob[name_start + 3] = 0xFF  # never valid in UTF-8
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="UTF-8") as err:
+        data.load_dataset(path)
+    assert err.value.offset == name_start + 3
+
+
+def mutations(blob):
+    """Every truncation of `blob`, then every single-bit flip of it."""
+    truncations = [blob[:cut] for cut in range(len(blob))]
+    flips = []
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        flips.append(bytes(flipped))
+    return truncations, flips
+
+
+def load_or_format_error(load, path, blob):
+    """load(path) with `blob` written there, or None after a FormatError
+    whose offset lies inside the file."""
+    path.write_bytes(blob)
+    try:
+        return load(path)
+    except FormatError as exc:
+        assert exc.offset is not None and 0 <= exc.offset <= len(blob)
+        return None
+
+
+def test_dataset_loader_survives_every_truncation_and_bit_flip(tmp_path):
+    # a multi-byte character in the name, so flips can break a UTF-8 sequence
+    ds = data.generate_synthetic(3, 2, 4, 1.0, seed=17)
+    ds = data.Dataset(ds.features, ds.labels, 3, "blobs/\u00e9t\u00e9")
+    path = tmp_path / "ds.feds"
+    data.save_dataset(ds, path)
+    truncations, flips = mutations(path.read_bytes())
+    for blob in truncations:
+        assert load_or_format_error(data.load_dataset, path, blob) is None
+    loaded = [load_or_format_error(data.load_dataset, path, blob) for blob in flips]
+    for got in loaded:
+        # a flip in a feature, a label, the name or num_classes can be valid
+        assert got is None or got.features.shape == ds.features.shape
+    assert any(got is None for got in loaded) and any(got is not None for got in loaded)
+
+
+def test_checkpoint_loader_survives_every_truncation_and_bit_flip(tmp_path):
+    model = nn.build_mlp(3, (2,), 2, split_index=2, seed=18)
+    path = tmp_path / "model.ckpt"
+    nn.save_model(model, path)
+
+    def shapes(m):
+        return [layer.weights.shape if layer.kind == "dense" else None for layer in m.layers]
+
+    truncations, flips = mutations(path.read_bytes())
+    for blob in truncations:
+        assert load_or_format_error(nn.load_model, path, blob) is None
+    loaded = [load_or_format_error(nn.load_model, path, blob) for blob in flips]
+    for got in loaded:
+        # a flip in a weight, a bias, split_index or num_classes can be valid
+        assert got is None or shapes(got) == shapes(model)
+    assert any(got is None for got in loaded) and any(got is not None for got in loaded)
 
 
 def test_csv_import(tmp_path):

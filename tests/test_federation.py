@@ -194,7 +194,6 @@ def test_local_update_reports_selected_count_and_time():
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
     update = client_local_update(0, model, subset, 2, opt, 16, [1, 2])
     assert update.selected_count == len(subset)
-    assert update.train_time_seconds > 0.0
 
 
 def test_fedprox_mu_zero_equals_plain_update():
@@ -280,7 +279,6 @@ def mk_update(client_id, arrays, count):
         client_id=client_id,
         theta=[np.asarray(a, dtype=np.float64) for a in arrays],
         selected_count=count,
-        train_time_seconds=0.0,
     )
 
 
@@ -595,24 +593,47 @@ def test_report_time_is_nondecreasing_and_accuracy_in_range():
 # --- frozen-feature cache ------------------------------------------------------------
 
 
-def test_device_time_charges_the_full_model_with_the_cache():
+def _flops_per_sample(widths, split):
+    """(forward, backward) multiply-adds per sample of the MLP with these
+    layer widths, written out from the layer list; backward covers the
+    layers from `split` on."""
+    layers = []  # (is dense, in, out): dense, relu, ..., dense
+    for i in range(len(widths) - 1):
+        layers.append((True, widths[i], widths[i + 1]))
+        if i < len(widths) - 2:
+            layers.append((False, widths[i + 1], widths[i + 1]))
+    forward = sum(2 * i * o + o if dense else o for dense, i, o in layers)
+    backward = 2 * widths[-1]
+    for index in range(len(layers) - 1, split - 1, -1):
+        dense, i, o = layers[index]
+        backward += 2 * i * o + o if dense else o
+        if dense and index > split:
+            backward += 2 * i * o
+    return forward, backward
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.6])
+@pytest.mark.parametrize("strategy", federation.STRATEGIES)
+def test_device_time_charges_the_full_model_with_the_cache(strategy, fraction):
     source, train, test, parts = small_setup()
-    config = small_config(strategy="fedft_eds", rounds=3)
-    reports, final = run_federation(config, source, train, parts, test)
-    # every client takes part; scoring costs one full forward per sample,
-    # training the full forward (frozen part included) plus the head backward
-    forward = nn.forward_flops_per_sample(final)
-    train_cost = forward + nn.backward_flops_per_sample(final)
-    assert forward > nn.forward_flops_per_sample(
-        nn.Model(final.layers[config.split_index:], 0, final.num_classes)
-    )
+    config = small_config(strategy=strategy, rounds=3, participation_fraction=fraction)
+    reports, _ = run_federation(config, source, train, parts, test)
+    # Only fedft_eds scores (one full forward per sample). Training costs the
+    # full forward, frozen part included, plus the backward through what is
+    # trained: everything for fedavg and fedprox, the head for the rest.
+    split = 0 if strategy in ("fedavg", "fedprox") else config.split_index
+    forward, backward = _flops_per_sample((8, *config.hidden_sizes, 4), split)
+    p_ds = 1.0 if strategy == "fedft_all" else config.p_ds
     expected = 0.0
-    for _ in range(config.rounds):
-        for part in parts:
-            kept = selection.selection_count(len(part), config.p_ds)
+    for report in reports:
+        assert len(report.participants) == round(fraction * config.num_clients)
+        for cid in report.participants:
+            n = len(parts[cid])
+            scoring = n * forward * SECONDS_PER_FLOP if strategy == "fedft_eds" else 0.0
+            kept = max(1, int(p_ds * n))
             visits = config.local_epochs * kept
-            expected += len(part) * forward * SECONDS_PER_FLOP + visits * train_cost * SECONDS_PER_FLOP
-    assert reports[-1].cumulative_client_train_time == expected
+            expected += scoring + visits * (forward + backward) * SECONDS_PER_FLOP
+        assert report.cumulative_client_train_time == expected
 
 
 def test_frozen_layers_stay_the_pretrained_ones_with_the_cache():
@@ -663,7 +684,8 @@ def _uncached_rounds(config, source, train, parts, test):
                 update = client_local_update(
                     cid, model.copy(), subset, config.local_epochs, opt, config.batch_size, seeds
                 )
-            cumulative += 0.0 + update.train_time_seconds
+            train_cost = nn.forward_flops_per_sample(model) + nn.backward_flops_per_sample(model)
+            cumulative += 0.0 + config.local_epochs * len(subset) * train_cost * SECONDS_PER_FLOP
             updates.append(update)
         nn.set_theta(model, aggregate(updates))
         rows.append((*evaluate_model(model, test), cumulative))
