@@ -63,19 +63,18 @@ def probe_activations(model: nn.Model, features: np.ndarray, layer_level: str) -
     up at the logits (the output of the last dense layer).
 
     Without a second relu, mid falls back to low; without any relu, low is
-    the output of the first layer.
+    the output of the first layer. Only the layers up to the probed one run.
     """
     if layer_level not in LAYER_LEVELS:
         raise ParameterError(f"layer_level must be one of {LAYER_LEVELS}, got {layer_level!r}")
-    logits, activations = nn.forward(model, features)
     if layer_level == "up":
-        return logits
+        return nn.layer_output(model, features, len(model.layers))
     relu_positions = [
         i for i, layer in enumerate(model.layers) if isinstance(layer, nn.ReluLayer)
     ] or [0]
     if layer_level == "mid" and len(relu_positions) > 1:
-        return activations[relu_positions[1]]
-    return activations[relu_positions[0]]
+        return nn.layer_output(model, features, relu_positions[1] + 1)
+    return nn.layer_output(model, features, relu_positions[0] + 1)
 
 
 def pairwise_cka(models: list[nn.Model], probe: Dataset, layer_level: str) -> CkaMatrix:
@@ -133,7 +132,7 @@ def entropy_histogram(
     one array per temperature in `rhos`, all from one forward pass."""
     if num_bins < 2:
         raise ParameterError(f"num_bins must be >= 2, got {num_bins}")
-    logits, _ = nn.forward(model, data.features)
+    logits = nn.layer_output(model, data.features, len(model.layers))
     edges = histogram_edges(data.num_classes, num_bins)
     all_counts = []
     for rho in rhos:

@@ -366,7 +366,7 @@ def sample_participants(num_clients: int, participation_fraction: float, round_s
 
 def evaluate_model(model: nn.Model, dataset: Dataset) -> tuple[float, float]:
     """(accuracy, mean cross-entropy loss) on a dataset."""
-    logits, _ = nn.forward(model, dataset.features)
+    logits = nn.layer_output(model, dataset.features, len(model.layers))
     probs = nn.softmax_with_temperature(logits, 1.0)
     loss = nn.cross_entropy_loss(probs, dataset.labels)
     accuracy = float((logits.argmax(axis=1) == dataset.labels).mean())
@@ -384,7 +384,7 @@ def _frozen_rows(model: nn.Model, dataset: Dataset, blocks: list, width: int) ->
         return dataset
     rows = np.empty((len(dataset), width))
     for block in blocks:
-        rows[block] = nn.frozen_features(model, dataset.features[block])
+        rows[block] = nn.layer_output(model, dataset.features[block], model.split_index)
     return Dataset(rows, dataset.labels, dataset.num_classes, dataset.name)
 
 

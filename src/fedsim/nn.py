@@ -205,17 +205,21 @@ def forward(model: Model, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return logits, activations
 
 
-def frozen_features(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Output of the frozen layers [0, split_index) on a (n, d) batch.
+def layer_output(model: Model, batch: np.ndarray, stop: int) -> np.ndarray:
+    """Output of layers [0, stop) on a (n, d) batch, keeping no other layer's.
 
-    This is the input of the head, bitwise equal to the activation that
-    forward() leaves at split_index - 1; with nothing frozen it is the batch
-    itself. Bias and relu are applied in place, but only on arrays this call
-    allocated, never on the caller's batch.
+    Bitwise equal to forward()'s activation at stop - 1; stop 0 gives the
+    batch itself, stop split_index the frozen features (the head's input).
+    Bias and relu are applied in place, but only on arrays this call
+    allocated, never on the caller's batch, so at most one layer's input and
+    output exist at a time. Run to the last layer it returns the logits and,
+    like forward(), raises NumericError if any is non-finite.
     """
+    if not 0 <= stop <= len(model.layers):
+        raise ParameterError(f"stop {stop} out of range for {len(model.layers)} layers")
     batch = _as_batch(model, batch)
     x = batch
-    for layer in model.layers[: model.split_index]:
+    for layer in model.layers[:stop]:
         if isinstance(layer, DenseLayer):
             x = x @ layer.weights.T
             x += layer.bias
@@ -223,6 +227,8 @@ def frozen_features(model: Model, batch: np.ndarray) -> np.ndarray:
             x = np.maximum(x, 0.0)
         else:
             np.maximum(x, 0.0, out=x)
+    if stop == len(model.layers) and not np.isfinite(x).all():
+        raise NumericError("forward pass produced non-finite logits")
     return x
 
 
@@ -455,7 +461,10 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Read a model checkpoint written by save_model()."""
+    """Read a model checkpoint written by save_model().
+
+    Non-finite weights or biases are a FormatError at the array's offset.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = 0
@@ -467,6 +476,13 @@ def load_model(path) -> Model:
         piece = blob[offset : offset + count]
         offset += count
         return piece
+
+    def take_finite(count: int, what: str) -> np.ndarray:
+        start = offset
+        values = np.frombuffer(take(8 * count, what), dtype="<f8")
+        if not np.isfinite(values).all():
+            raise FormatError(f"non-finite {what}", start)
+        return values.copy()
 
     magic = take(len(CHECKPOINT_MAGIC), "magic")
     if magic != CHECKPOINT_MAGIC:
@@ -481,11 +497,9 @@ def load_model(path) -> Model:
             out_dim, in_dim = struct.unpack("<QQ", take(16, f"layer {i} shape"))
             if out_dim == 0 or in_dim == 0 or out_dim * in_dim > len(blob):
                 raise FormatError(f"implausible layer {i} shape {out_dim}x{in_dim}", offset - 16)
-            weights = np.frombuffer(
-                take(8 * out_dim * in_dim, f"layer {i} weights"), dtype="<f8"
-            ).reshape(out_dim, in_dim)
-            bias = np.frombuffer(take(8 * out_dim, f"layer {i} bias"), dtype="<f8")
-            layers.append(DenseLayer(weights.copy(), bias.copy()))
+            weights = take_finite(out_dim * in_dim, f"layer {i} weights")
+            bias = take_finite(out_dim, f"layer {i} bias")
+            layers.append(DenseLayer(weights.reshape(out_dim, in_dim), bias))
         elif kind == _KIND_RELU:
             layers.append(ReluLayer())
         else:

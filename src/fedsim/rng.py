@@ -29,12 +29,25 @@ PARTICIPANTS = 6
 SELECTION = 7
 SHUFFLE = 8
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
 def seed_sequence(*path: int) -> np.random.SeedSequence:
-    """Build a SeedSequence from a derivation path of integers."""
-    return np.random.SeedSequence([int(p) & _MASK64 for p in path])
+    """Build a SeedSequence from a derivation path of integers.
+
+    Each integer is taken modulo 2**64 and handed to numpy as the uint32
+    words numpy itself would derive from it: the low word, then the high
+    word when it is not zero. That gives the same entropy pool as passing
+    the integers, without numpy's per-integer conversion.
+    """
+    words = []
+    for p in path:
+        p = int(p) & _MASK64
+        words.append(p & _MASK32)
+        if p > _MASK32:
+            words.append(p >> 32)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def derive_rng(*path: int) -> np.random.Generator:

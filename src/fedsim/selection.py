@@ -92,7 +92,7 @@ def select_by_entropy(
     """Entropy-based selection: one forward pass, hardened softmax, top k."""
     indices = client.sample_indices
     k = selection_count(indices.size, p_ds)
-    logits, _ = nn.forward(model, dataset.features[indices])
+    logits = nn.layer_output(model, dataset.features[indices], len(model.layers))
     probs = nn.softmax_with_temperature(logits, rho)
     entropies = entropy_rows(probs)
     return SelectionResult(top_k_by_entropy(indices, entropies, k), entropies)

@@ -224,8 +224,8 @@ def test_histogram_runs_one_forward_for_every_temperature(monkeypatch):
     ds = data.generate_synthetic(4, 30, 6, 2.0, seed=22)
     model = nn.build_mlp(6, (8,), 4, split_index=2, seed=23)
     calls = []
-    forward = nn.forward
-    monkeypatch.setattr(nn, "forward", lambda *args: calls.append(1) or forward(*args))
+    run = nn.layer_output
+    monkeypatch.setattr(nn, "layer_output", lambda *args: calls.append(1) or run(*args))
     rhos = (0.1, 0.5, 1.0, 2.0)
     together = analysis.entropy_histogram(model, ds, rhos, num_bins=15)
     assert len(calls) == 1

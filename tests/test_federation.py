@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -140,6 +141,26 @@ def test_pretrain_is_deterministic():
         if isinstance(la, nn.DenseLayer):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
+
+
+# --- evaluation -------------------------------------------------------------------
+
+
+def test_evaluation_holds_one_layer_output_at_a_time():
+    # a full-model (split 0) evaluation keeps no activation it does not read:
+    # at most a layer's input and output are alive, never every layer's
+    model = nn.build_mlp(32, (128, 128), 10, split_index=0, seed=12)
+    rng = np.random.default_rng(13)
+    test = data.Dataset(rng.normal(size=(1000, 32)), rng.integers(0, 10, 1000), 10)
+    layer_bytes = 1000 * 128 * 8
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        evaluate_model(model, test)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2.5 * layer_bytes
 
 
 # --- local updates ----------------------------------------------------------------
@@ -349,7 +370,7 @@ def test_aggregate_rejects_bad_inputs():
         aggregate([mk_update(0, [np.zeros(2)], 0)])
 
 
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=80)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Numerics: forward, tempered softmax, cross-entropy, backprop, SGD, IO."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from fedsim.errors import FormatError, NumericError, ParameterError, ShapeError
 
 def make_model(split_index=0, seed=1, input_dim=5, hidden=(8,), num_classes=4):
     return nn.build_mlp(input_dim, hidden, num_classes, split_index, seed)
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def reference_forward(model, batch):
@@ -80,11 +85,13 @@ def test_forward_rejects_nonfinite():
     model.layers[0].weights[0, 0] = np.inf
     with pytest.raises(NumericError):
         nn.forward(model, np.ones((2, 5)))
+    with pytest.raises(NumericError):
+        nn.layer_output(model, np.ones((2, 5)), len(model.layers))
 
 
-# --- frozen features (property tests) -----------------------------------------
+# --- layer outputs and frozen features (property tests) ----------------------
 
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=80)
 
 
 @st.composite
@@ -107,15 +114,16 @@ def split_models_and_batches(draw, relu_first=False):
 @PROPERTY
 @given(st.one_of(split_models_and_batches(), split_models_and_batches(relu_first=True)))
 def test_head_on_frozen_features_gives_the_full_logits(case):
+    # layer_output at every stop is forward()'s activation there, bit for bit
     model, batch = case
-    head = nn.Model(model.layers[model.split_index:], 0, model.num_classes)
-    features = nn.frozen_features(model, batch)
     logits, activations = nn.forward(model, batch)
-    if model.split_index == 0:
-        assert features is batch
-    else:
-        assert np.array_equal(features, activations[model.split_index - 1])
-    assert np.array_equal(nn.forward(head, features)[0], logits)
+    assert nn.layer_output(model, batch, 0) is batch
+    for stop in range(1, len(model.layers) + 1):
+        assert bitwise_equal(nn.layer_output(model, batch, stop), activations[stop - 1])
+    head = nn.Model(model.layers[model.split_index:], 0, model.num_classes)
+    features = nn.layer_output(model, batch, model.split_index)
+    assert bitwise_equal(nn.layer_output(head, features, len(head.layers)), logits)
+    assert bitwise_equal(nn.forward(head, features)[0], logits)
 
 
 @PROPERTY
@@ -123,14 +131,19 @@ def test_head_on_frozen_features_gives_the_full_logits(case):
 def test_frozen_features_never_mutates_its_input(case):
     model, batch = case
     before = batch.copy()
-    features = nn.frozen_features(model, batch)
-    assert np.array_equal(batch, before)
-    assert model.split_index == 0 or not np.shares_memory(features, batch)
+    for stop in range(len(model.layers) + 1):
+        out = nn.layer_output(model, batch, stop)
+        assert bitwise_equal(batch, before)
+        assert stop == 0 or not np.shares_memory(out, batch)
 
 
 def test_frozen_features_rejects_bad_width():
+    model = make_model(split_index=2)
     with pytest.raises(ShapeError):
-        nn.frozen_features(make_model(split_index=2), np.zeros((3, 4)))
+        nn.layer_output(model, np.zeros((3, 4)), model.split_index)
+    for stop in (-1, len(model.layers) + 1):
+        with pytest.raises(ParameterError):
+            nn.layer_output(model, np.zeros((3, 5)), stop)
 
 
 # --- softmax with temperature -------------------------------------------
@@ -449,6 +462,19 @@ def test_checkpoint_truncated(tmp_path):
     with pytest.raises(FormatError) as err:
         nn.load_model(path)
     assert err.value.offset is not None
+
+
+def test_checkpoint_rejects_nonfinite_weights(tmp_path):
+    path = tmp_path / "nan.ckpt"
+    nn.save_model(nn.build_mlp(3, (2,), 2, split_index=2, seed=18), path)
+    blob = bytearray(path.read_bytes())
+    # magic, the three-u64 header, then layer 0's kind tag and two u64 widths
+    weights_at = len(nn.CHECKPOINT_MAGIC) + 24 + 1 + 16
+    blob[weights_at + 8 : weights_at + 16] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="non-finite layer 0 weights") as err:
+        nn.load_model(path)
+    assert err.value.offset == weights_at
 
 
 def test_checkpoint_empty_file(tmp_path):

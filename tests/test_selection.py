@@ -217,7 +217,7 @@ def test_entropy_and_random_agree_at_full_fraction():
 
 # --- properties ----------------------------------------------------------------------
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 FRACTIONS = st.floats(0.0, 1.0, exclude_min=True)
 POOL = data.generate_synthetic(3, 40, 5, 1.5, seed=30)
 
