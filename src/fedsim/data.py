@@ -226,7 +226,7 @@ def stratified_split(
     )
 
 
-def concat_datasets(parts: list[Dataset], name: str = "") -> Dataset:
+def concat_datasets(parts: list[Dataset]) -> Dataset:
     """Stack datasets with identical feature width and class count."""
     if not parts:
         raise ParameterError("concat_datasets needs at least one dataset")
@@ -238,7 +238,7 @@ def concat_datasets(parts: list[Dataset], name: str = "") -> Dataset:
         np.concatenate([ds.features for ds in parts], axis=0),
         np.concatenate([ds.labels for ds in parts]),
         first.num_classes,
-        name or "+".join(ds.name for ds in parts),
+        "+".join(ds.name for ds in parts),
     )
 
 
@@ -315,40 +315,6 @@ def load_dataset(path) -> Dataset:
     return Dataset(features.copy(), labels, int(num_classes), name)
 
 
-def import_csv(path, num_classes: int | None = None, name: str | None = None) -> Dataset:
-    """Load a CSV with header f0,...,fD,label."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv_module.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("empty CSV file", 0) from None
-        if len(header) < 2 or header[-1] != "label" or header[0] != "f0":
-            raise FormatError(f"expected header f0,...,fD,label, got {header[:4]}...")
-        dim = len(header) - 1
-        rows = []
-        labels = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise FormatError(f"line {line_no}: expected {dim + 1} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
-            except ValueError as exc:
-                raise FormatError(f"line {line_no}: {exc}") from exc
-    if not rows:
-        raise FormatError("CSV contains no data rows")
-    label_arr = np.asarray(labels, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(label_arr.max()) + 1
-    return Dataset(
-        np.asarray(rows, dtype=np.float64),
-        label_arr,
-        num_classes,
-        name if name is not None else str(path),
-    )
-
-
 def write_csv(path, header, rows) -> None:
     """Write a header row, then `rows`, as CSV: comma separated, LF endings."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -378,7 +344,6 @@ __all__ = [
     "stratified_split",
     "save_dataset",
     "load_dataset",
-    "import_csv",
     "write_csv",
     "mean_client_label_entropy",
 ]

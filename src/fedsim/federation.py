@@ -1,14 +1,16 @@
-"""Round loop: pretraining, client sampling, local updates, aggregation.
+"""Pretraining, then the round loop: client sampling, local updates, aggregation.
 
-One round samples the participating clients and runs one job per
-participant: select a per-round training subset according to the configured
-strategy, then run E local epochs on that subset. The uploaded head
-parameters are aggregated weighted by the number of samples each client
-actually trained on; every selector keeps a count fixed by the client's size,
-so the total weight is known before any job runs and each upload is folded
-in as it arrives. The frozen feature extractor is fixed once pretraining
-ends, so its output is computed once per sample and the rounds run on the
-head alone.
+The caller builds the start model once with `initial_model` (built from the
+master seed, then pretrained on the source domain) and hands it to
+`run_federation`, which trains it in place. One round samples the
+participating clients and runs one job per participant: select a per-round
+training subset according to the configured strategy, then run E local
+epochs on that subset. The uploaded head parameters are aggregated weighted
+by the number of samples each client actually trained on; every selector
+keeps a count fixed by the client's size, so the total weight is known
+before any job runs and each upload is folded in as it arrives. The frozen
+feature extractor is fixed once pretraining ends, so its output is computed
+once per sample and the rounds run on the head alone.
 
 Client "training time" is a deterministic device-effort model (sample visits
 times the full model's per-sample cost at a nominal 1 GFLOP/s), not measured
@@ -225,8 +227,11 @@ def pretrain(
 def initial_model(config: FederationConfig, source: Dataset, train: Dataset) -> nn.Model:
     """The model a run starts from: built from the master seed, then pretrained.
 
-    The architecture follows `train`, the pretraining data is `source`.
+    The architecture follows `train`, the pretraining data is `source`, which
+    must share its feature width and class count.
     """
+    if source.feature_dim != train.feature_dim or source.num_classes != train.num_classes:
+        raise ConfigError("source dataset is incompatible with the training pool")
     master = config.master_seed
     model = nn.build_mlp(
         input_dim=train.feature_dim,
@@ -390,25 +395,28 @@ def _frozen_rows(model: nn.Model, dataset: Dataset, blocks: list, width: int) ->
 
 def run_federation(
     config: FederationConfig,
-    source: Dataset,
+    start: nn.Model,
     train: Dataset,
     partitions: list[ClientPartition],
     test: Dataset,
     threads: int = 1,
     client_model_hook: Optional[Callable[[int, int, nn.Model], None]] = None,
     selection_hook: Optional[Callable[[int, int, SelectionResult], None]] = None,
-) -> tuple[list[RoundReport], nn.Model]:
-    """Full protocol: pretrain, then T rounds of select/update/aggregate.
+) -> list[RoundReport]:
+    """T rounds of select/update/aggregate, training `start` in place.
 
-    `train` is the client-side pool covered by `partitions`; `test` is the
-    held-out split evaluated after every round. Each participant's round is
-    one job, selection then local update, run inline at `threads` 1 and on a
-    pool of `threads` workers otherwise, with at most 2 * threads jobs
-    submitted ahead of the one being folded. Hooks fire on the main thread
-    in ascending client order, `selection_hook` before `client_model_hook`,
-    as each client's update is folded into the global head; a round holds
-    only the client models still in flight.
-    Returns the round reports and the global model after the last round.
+    `start` is the pretrained global model from `initial_model`; its
+    architecture must match `train` and `config`, split included. After the
+    call it is the global model after the last round. `train` is the
+    client-side pool covered by `partitions`; `test` is the held-out split
+    evaluated after every round. Each participant's round is one job,
+    selection then local update, run inline at `threads` 1 and on a pool of
+    `threads` workers otherwise, with at most 2 * threads jobs submitted
+    ahead of the one being folded. Hooks fire on the main thread in
+    ascending client order, `selection_hook` before `client_model_hook`, as
+    each client's update is folded into the global head; a round holds only
+    the client models still in flight.
+    Returns the round reports.
     """
     config.validate()
     if len(partitions) != config.num_clients:
@@ -417,21 +425,28 @@ def run_federation(
         )
     if not partition_covers(partitions, len(train)):
         raise ConfigError("partitions must be a disjoint cover of the training pool")
-    for ds, role in ((source, "source"), (test, "test")):
-        if ds.feature_dim != train.feature_dim or ds.num_classes != train.num_classes:
-            raise ConfigError(f"{role} dataset is incompatible with the training pool")
+    if test.feature_dim != train.feature_dim or test.num_classes != train.num_classes:
+        raise ConfigError("test dataset is incompatible with the training pool")
+    widths = [train.feature_dim, *config.hidden_sizes, train.num_classes]
+    start_widths = [start.input_dim] + [
+        layer.out_dim for layer in start.layers if isinstance(layer, nn.DenseLayer)
+    ]
+    split = config.effective_split_index
+    if start_widths != widths or start.split_index != split:
+        raise ConfigError(
+            f"start model has widths {start_widths} and split {start.split_index}, "
+            f"the config and training pool need {widths} and split {split}"
+        )
 
     master = config.master_seed
-    model = initial_model(config, source, train)
-    split = model.split_index
-    # The head shares its layer objects with `model`: aggregating into the
-    # head updates `model`, which stays the global model, frozen part and all.
-    head = nn.Model(model.layers[split:], 0, model.num_classes)
+    # The head shares its layer objects with `start`: aggregating into the
+    # head updates `start`, which stays the global model, frozen part and all.
+    head = nn.Model(start.layers[split:], 0, start.num_classes)
     # phi is fixed from here on, so every sample goes through it once; the
     # head then selects, trains and evaluates on these rows alone.
     test_blocks = [slice(s, s + FROZEN_BLOCK_ROWS) for s in range(0, len(test), FROZEN_BLOCK_ROWS)]
-    test_rows = _frozen_rows(model, test, test_blocks, head.input_dim)
-    train_rows = _frozen_rows(model, train, [p.sample_indices for p in partitions], head.input_dim)
+    test_rows = _frozen_rows(start, test, test_blocks, head.input_dim)
+    train_rows = _frozen_rows(start, train, [p.sample_indices for p in partitions], head.input_dim)
     p_ds = config.effective_p_ds
     # one flag picks the entropy selector and charges its scoring pass
     scores = config.strategy == "fedft_eds" and p_ds < 1.0
@@ -442,14 +457,14 @@ def run_federation(
     # So each client's device time is fixed too: scoring is one forward per
     # sample, training E epochs over the kept samples, both charged for the
     # full model, frozen part included.
-    forward_flops = nn.forward_flops_per_sample(model)
-    train_flops = forward_flops + nn.backward_flops_per_sample(model)
+    forward_flops = nn.forward_flops_per_sample(start)
+    train_flops = forward_flops + nn.backward_flops_per_sample(start)
     device_seconds = [
         (len(part) * forward_flops * SECONDS_PER_FLOP if scores else 0.0)
         + config.local_epochs * kept * train_flops * SECONDS_PER_FLOP
         for part, kept in zip(partitions, kept_counts)
     ]
-    theta_count = nn.theta_param_count(model)
+    theta_count = nn.theta_param_count(start)
     cumulative_time = 0.0
     reports: list[RoundReport] = []
 
@@ -498,7 +513,7 @@ def run_federation(
         if client_model_hook is not None:
             # the frozen layer objects are the global model's own
             kept_model = nn.Model(
-                model.layers[:split] + client_head.layers, split, model.num_classes
+                start.layers[:split] + client_head.layers, split, start.num_classes
             )
         return chosen, update, kept_model
 
@@ -562,7 +577,7 @@ def run_federation(
                 loss,
                 len(participants),
             )
-    return reports, model
+    return reports
 
 
 def write_reports_csv(reports: list[RoundReport], strategy: str, path) -> None:

@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from fedsim import analysis, cli, data, nn, selection
-from fedsim import rng as streams
-from fedsim.data import PartitionSpec, dirichlet_partition, stratified_split
+from fedsim.data import PartitionSpec, dirichlet_partition
 from fedsim.federation import (
     ClientUpdate,
     aggregate,
     run_federation,
 )
-from fedsim.rng import derive_rng, derive_seed
 
 SEEDS = (101, 102, 103, 104, 105)
 CKA_SEEDS = (101, 102, 103)
@@ -50,26 +48,26 @@ def desk_config(master_seed, dataset_overrides=None, **federation_overrides):
     return config
 
 
-def desk_run(config, hook=None):
-    source, target = cli._build_datasets(config)
-    master = config.federation.master_seed
-    train, test = stratified_split(
-        target, config.dataset["test_fraction"], derive_seed(master, streams.SPLIT, 1)
-    )
-    partitions = dirichlet_partition(
-        train,
-        PartitionSpec(
-            config.federation.num_clients,
-            config.alpha,
-            derive_seed(master, streams.PARTITION),
-        ),
-    )
-    reports, final = run_federation(
-        config.federation, source, train, partitions, test, client_model_hook=hook
-    )
-    return reports, final, test
+def desk_inputs(config):
+    """(pretrained model, train, test, partitions), built as `fedsim run` builds them."""
+    return cli._prepare_run(config, *cli._build_datasets(config))
 
 
+def desk_run(config, inputs, hook=None):
+    """Round reports of a run from a copy of the pretrained model in `inputs`.
+
+    Pretraining trains every layer whatever the split, so one pretrained model
+    serves every strategy; only the copy's split is the strategy's own.
+    """
+    pretrained, train, test, partitions = inputs
+    start = pretrained.copy()
+    start.split_index = config.federation.effective_split_index
+    return run_federation(
+        config.federation, start, train, partitions, test, client_model_hook=hook
+    )
+
+
+_INPUTS: dict = {}
 _RUN_CACHE: dict = {}
 
 
@@ -79,19 +77,21 @@ def cached_run(strategy, p_ds, pretrain_epochs, seed):
         config = desk_config(
             seed, strategy=strategy, p_ds=p_ds, pretrain_epochs=pretrain_epochs
         )
-        _RUN_CACHE[key] = desk_run(config)
+        if (pretrain_epochs, seed) not in _INPUTS:
+            _INPUTS[pretrain_epochs, seed] = desk_inputs(config)
+        _RUN_CACHE[key] = desk_run(config, _INPUTS[pretrain_epochs, seed])
     return _RUN_CACHE[key]
 
 
 def final_accuracies(strategy, p_ds, pretrain_epochs):
     return np.array(
-        [cached_run(strategy, p_ds, pretrain_epochs, s)[0][-1].test_accuracy for s in SEEDS]
+        [cached_run(strategy, p_ds, pretrain_epochs, s)[-1].test_accuracy for s in SEEDS]
     )
 
 
 def mean_efficiency(strategy, p_ds, pretrain_epochs):
     values = [
-        analysis.learning_efficiency(cached_run(strategy, p_ds, pretrain_epochs, s)[0])
+        analysis.learning_efficiency(cached_run(strategy, p_ds, pretrain_epochs, s))
         for s in SEEDS
     ]
     return float(np.mean(values))
@@ -355,9 +355,10 @@ def _one_round_client_models(seed, pretrain_epochs):
         rounds=1,
         pretrain_epochs=pretrain_epochs,
     )
+    inputs = desk_inputs(config)
     captured = []
-    _, _, test = desk_run(config, hook=lambda r, c, m: captured.append((c, m)))
-    return [m for _, m in sorted(captured, key=lambda item: item[0])], test
+    desk_run(config, inputs, hook=lambda r, c, m: captured.append((c, m)))
+    return [m for _, m in sorted(captured, key=lambda item: item[0])], inputs[2]
 
 
 def test_criterion_8_cka_model_shift():

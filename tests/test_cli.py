@@ -324,6 +324,47 @@ def test_entropy_hist_counts_conserved(tmp_path):
         assert sum(counts) == train_size
 
 
+def _command_output(tmp_path, capsys, command, *flags):
+    """(output directory, printed lines) of one command on fresh TINY data."""
+    out = tmp_path / command
+    generate(out)
+    capsys.readouterr()
+    assert run_cli([command, "--out", out, "--seed", 5, *TINY, *flags]) == 0
+    return out, capsys.readouterr().out.splitlines()
+
+
+def test_analyze_cka_is_the_first_round_of_run(tmp_path, capsys):
+    cka, printed = _command_output(tmp_path, capsys, "analyze-cka", "--strategy", "fedavg")
+    run, _ = _command_output(
+        tmp_path, capsys, "run", "--strategy", "fedavg", "--rounds", "1", "--analysis.cka", "true"
+    )
+    for level in ("low", "mid", "up"):
+        name = f"cka_{level}.csv"
+        assert (cka / name).read_bytes() == (run / name).read_bytes()
+    assert printed == [
+        "low: mean off-diagonal CKA 0.9886",
+        "mid: mean off-diagonal CKA 0.8930",
+        "up: mean off-diagonal CKA 0.8374",
+    ]
+
+
+def test_entropy_hist_is_the_histogram_of_a_zero_round_run(tmp_path, capsys):
+    hist, printed = _command_output(tmp_path, capsys, "entropy-hist")
+    run, _ = _command_output(
+        tmp_path, capsys, "run", "--rounds", "0", "--analysis.entropy_histogram", "true"
+    )
+    names = sorted(p.name for p in hist.glob("entropy_hist_rho*.csv"))
+    assert names == sorted(p.name for p in run.glob("entropy_hist_rho*.csv"))
+    assert len(names) == 3
+    for name in names:
+        assert (hist / name).read_bytes() == (run / name).read_bytes()
+    assert printed == [
+        "rho=1: 15/52 samples in the lower half",
+        "rho=0.5: 31/52 samples in the lower half",
+        "rho=0.1: 51/52 samples in the lower half",
+    ]
+
+
 @pytest.mark.parametrize("rhos", ["1.0,1", "0.1,0.1000001"])
 def test_histogram_rhos_sharing_a_file_name_are_rejected(tmp_path, capsys, rhos):
     out = tmp_path / "hist"

@@ -277,19 +277,3 @@ def test_checkpoint_loader_survives_every_truncation_and_bit_flip(tmp_path):
         # but never one that makes a parameter NaN or infinite
         assert got is None or (shapes(got) == shapes(model) and finite(got))
     assert any(got is None for got in loaded) and any(got is not None for got in loaded)
-
-
-def test_csv_import(tmp_path):
-    path = tmp_path / "in.csv"
-    path.write_text("f0,f1,label\n0.5,-1.0,0\n2.0,3.5,1\n", encoding="utf-8")
-    ds = data.import_csv(path)
-    assert ds.features.shape == (2, 2)
-    assert ds.num_classes == 2
-    assert list(ds.labels) == [0, 1]
-
-
-def test_csv_import_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        data.import_csv(path)

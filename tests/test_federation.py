@@ -67,6 +67,12 @@ def small_config(**overrides):
     return FederationConfig(**base)
 
 
+def pretrained_run(config, source, train, parts, test, **kwargs):
+    """run_federation from `initial_model`: (reports, the trained global model)."""
+    model = initial_model(config, source, train)
+    return run_federation(config, model, train, parts, test, **kwargs), model
+
+
 # --- config validation ------------------------------------------------------
 
 
@@ -479,7 +485,7 @@ def test_sample_participants_frequency():
 def test_run_zero_rounds_returns_pretrained_model():
     source, train, test, parts = small_setup()
     config = small_config(rounds=0)
-    reports, final = run_federation(config, source, train, parts, test)
+    reports, final = pretrained_run(config, source, train, parts, test)
     assert reports == []
     expected = pretrain(
         nn.build_mlp(8, config.hidden_sizes, 4, config.split_index,
@@ -494,6 +500,19 @@ def test_run_zero_rounds_returns_pretrained_model():
     for a, b in zip(final.layers, expected.layers):
         if isinstance(a, nn.DenseLayer):
             assert np.array_equal(a.weights, b.weights)
+
+
+def test_pretrained_weights_do_not_depend_on_the_strategy():
+    # pretraining trains every layer, so runs can share one pretrained model
+    source, train, _, _ = small_setup()
+    models = [
+        initial_model(small_config(strategy=s), source, train) for s in federation.STRATEGIES
+    ]
+    for model in models[1:]:
+        for a, b in zip(model.layers, models[0].layers):
+            if isinstance(a, nn.DenseLayer):
+                assert np.array_equal(a.weights, b.weights)
+                assert np.array_equal(a.bias, b.bias)
 
 
 def test_single_client_fedavg_equals_centralized_training():
@@ -518,7 +537,7 @@ def test_single_client_fedavg_equals_centralized_training():
         hidden_sizes=(12,),
         master_seed=91,
     )
-    _, final = run_federation(config, source, train, parts, test)
+    _, final = pretrained_run(config, source, train, parts, test)
 
     # independent oracle: drive the nn primitives directly with the same
     # seed schedule (fresh momentum each round, per-epoch shuffles)
@@ -543,8 +562,8 @@ def test_eds_with_unit_settings_matches_fedft_all():
     source, train, test, parts = small_setup()
     eds = small_config(strategy="fedft_eds", rho=1.0, p_ds=1.0)
     everything = small_config(strategy="fedft_all", p_ds=1.0)
-    reports_eds, _ = run_federation(eds, source, train, parts, test)
-    reports_all, _ = run_federation(everything, source, train, parts, test)
+    reports_eds, _ = pretrained_run(eds, source, train, parts, test)
+    reports_all, _ = pretrained_run(everything, source, train, parts, test)
     assert reports_eds == reports_all
 
 
@@ -556,7 +575,7 @@ def test_phi_is_bitwise_constant_across_rounds():
     def hook(round_no, client_id, model):
         seen_phi.append((model.layers[0].weights.copy(), model.layers[0].bias.copy()))
 
-    _, final = run_federation(config, source, train, parts, test, client_model_hook=hook)
+    _, final = pretrained_run(config, source, train, parts, test, client_model_hook=hook)
     reference_w, reference_b = seen_phi[0]
     for weights, bias in seen_phi[1:]:
         assert np.array_equal(weights, reference_w)
@@ -567,8 +586,8 @@ def test_phi_is_bitwise_constant_across_rounds():
 def test_run_federation_deterministic_across_threads():
     source, train, test, parts = small_setup()
     config = small_config(rounds=3)
-    reports_a, final_a = run_federation(config, source, train, parts, test, threads=1)
-    reports_b, final_b = run_federation(config, source, train, parts, test, threads=3)
+    reports_a, final_a = pretrained_run(config, source, train, parts, test, threads=1)
+    reports_b, final_b = pretrained_run(config, source, train, parts, test, threads=3)
     assert reports_a == reports_b
     for la, lb in zip(final_a.layers, final_b.layers):
         if isinstance(la, nn.DenseLayer):
@@ -579,19 +598,68 @@ def test_communication_cost_smaller_for_partial_updates():
     source, train, test, parts = small_setup()
     fedft = small_config(strategy="fedft_eds", rounds=1)
     fedavg = small_config(strategy="fedavg", rounds=1, p_ds=1.0)
-    reports_ft, _ = run_federation(fedft, source, train, parts, test)
-    reports_avg, _ = run_federation(fedavg, source, train, parts, test)
+    reports_ft, _ = pretrained_run(fedft, source, train, parts, test)
+    reports_avg, _ = pretrained_run(fedavg, source, train, parts, test)
     assert reports_ft[0].comm_bytes < reports_avg[0].comm_bytes
 
 
 def test_run_federation_validates_partitions():
     source, train, test, parts = small_setup()
     config = small_config()
+    start = initial_model(config, source, train)
     with pytest.raises(ConfigError):
-        run_federation(config, source, train, parts[:-1], test)
+        run_federation(config, start, train, parts[:-1], test)
     broken = parts[:-1] + [ClientPartition(4, parts[-1].sample_indices[:-1])]
     with pytest.raises(ConfigError):
-        run_federation(config, source, train, broken, test)
+        run_federation(config, start, train, broken, test)
+
+
+def _other_shape(dataset, feature_dim=None, num_classes=None):
+    """`dataset` with its feature width or class count changed."""
+    features = dataset.features
+    if feature_dim is not None:
+        features = np.resize(features, (len(dataset), feature_dim))
+    return data.Dataset(features, dataset.labels, num_classes or dataset.num_classes)
+
+
+@pytest.mark.parametrize("change", [dict(feature_dim=5), dict(num_classes=6)])
+def test_initial_model_rejects_a_source_unlike_train(change):
+    source, train, _, _ = small_setup()
+    with pytest.raises(ConfigError, match="source dataset"):
+        initial_model(small_config(), _other_shape(source, **change), train)
+
+
+@pytest.mark.parametrize("change", [dict(feature_dim=5), dict(num_classes=6)])
+def test_run_federation_rejects_a_test_set_unlike_train(change):
+    source, train, test, parts = small_setup()
+    config = small_config()
+    start = initial_model(config, source, train)
+    with pytest.raises(ConfigError, match="test dataset"):
+        run_federation(config, start, train, parts, _other_shape(test, **change))
+
+
+@pytest.mark.parametrize(
+    "mismatch",
+    ["input width", "hidden sizes", "class count", "split", "fedavg split"],
+)
+def test_run_federation_rejects_a_start_model_unlike_config_and_train(mismatch):
+    source, train, test, parts = small_setup()
+    config = small_config()
+    widths = dict(input_dim=8, hidden_sizes=config.hidden_sizes, num_classes=4)
+    split = config.split_index
+    if mismatch == "input width":
+        widths["input_dim"] = 7
+    elif mismatch == "hidden sizes":
+        widths["hidden_sizes"] = (16, 15)
+    elif mismatch == "class count":
+        widths["num_classes"] = 5
+    elif mismatch == "split":
+        split = 2
+    else:  # fedavg trains the whole model, so a head-only start is wrong for it
+        config = small_config(strategy="fedavg")
+    start = nn.build_mlp(**widths, split_index=split, seed=1)
+    with pytest.raises(ConfigError, match="start model"):
+        run_federation(config, start, train, parts, test)
 
 
 def test_numeric_failure_names_round_and_client():
@@ -600,12 +668,12 @@ def test_numeric_failure_names_round_and_client():
                           p_ds=1.0, pretrain_epochs=0)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match=r"round \d+, client \d+"):
-            run_federation(config, source, train, parts, test)
+            pretrained_run(config, source, train, parts, test)
 
 
 def test_report_time_is_nondecreasing_and_accuracy_in_range():
     source, train, test, parts = small_setup()
-    reports, _ = run_federation(small_config(rounds=4), source, train, parts, test)
+    reports, _ = pretrained_run(small_config(rounds=4), source, train, parts, test)
     times = [r.cumulative_client_train_time for r in reports]
     assert all(b >= a for a, b in zip(times, times[1:]))
     assert all(0.0 <= r.test_accuracy <= 1.0 for r in reports)
@@ -638,7 +706,7 @@ def _flops_per_sample(widths, split):
 def test_device_time_charges_the_full_model_with_the_cache(strategy, fraction):
     source, train, test, parts = small_setup()
     config = small_config(strategy=strategy, rounds=3, participation_fraction=fraction)
-    reports, _ = run_federation(config, source, train, parts, test)
+    reports, _ = pretrained_run(config, source, train, parts, test)
     # Only fedft_eds scores (one full forward per sample). Training costs the
     # full forward, frozen part included, plus the backward through what is
     # trained: everything for fedavg and fedprox, the head for the rest.
@@ -660,10 +728,11 @@ def test_device_time_charges_the_full_model_with_the_cache(strategy, fraction):
 def test_frozen_layers_stay_the_pretrained_ones_with_the_cache():
     source, train, test, parts = small_setup()
     config = small_config(strategy="fedft_eds", rounds=2)
-    pretrained = initial_model(config, source, train)
+    final = initial_model(config, source, train)
+    pretrained = final.copy()
     hooked = []
-    _, final = run_federation(
-        config, source, train, parts, test, client_model_hook=lambda r, c, m: hooked.append(m)
+    run_federation(
+        config, final, train, parts, test, client_model_hook=lambda r, c, m: hooked.append(m)
     )
     assert len(hooked) == config.rounds * config.num_clients
     for model in (final, *hooked):
@@ -717,7 +786,7 @@ def _uncached_rounds(config, source, train, parts, test):
 def test_split_zero_reports_are_unchanged_by_the_cache(strategy):
     source, train, test, parts = small_setup()
     config = small_config(strategy=strategy, rounds=3, p_ds=0.5)
-    reports, final = run_federation(config, source, train, parts, test)
+    reports, final = pretrained_run(config, source, train, parts, test)
     expected_rows, expected_model = _uncached_rounds(config, source, train, parts, test)
     rows = [(r.test_accuracy, r.test_loss, r.cumulative_client_train_time) for r in reports]
     assert rows == expected_rows
@@ -749,7 +818,7 @@ def test_a_round_holds_at_most_two_client_updates(monkeypatch):
         gc.collect()
         held.append(len(live))
 
-    run_federation(config, source, train, parts, test, threads=1, client_model_hook=hook)
+    pretrained_run(config, source, train, parts, test, threads=1, client_model_hook=hook)
     assert len(held) == config.rounds * config.num_clients
     assert 1 <= max(held) <= 2
 
@@ -778,7 +847,7 @@ def test_a_slow_hook_holds_at_most_two_jobs_per_thread_ahead(monkeypatch, thread
         time.sleep(0.01)
         held.append(len(live))
 
-    run_federation(config, source, train, parts, test, threads=threads, client_model_hook=hook)
+    pretrained_run(config, source, train, parts, test, threads=threads, client_model_hook=hook)
     assert len(held) == config.rounds * config.num_clients
     assert 1 <= max(held) <= 2 * threads + 1
     if threads == 1:  # every job runs inline, on the caller's thread
@@ -798,7 +867,7 @@ def test_hooks_fire_in_client_order_selection_first_with_three_threads():
             events.append((round_no, client_id, kind))
         return hook
 
-    reports, _ = run_federation(
+    reports, _ = pretrained_run(
         config, source, train, parts, test, threads=3,
         client_model_hook=record("model"), selection_hook=record("selection"),
     )
@@ -816,7 +885,7 @@ def test_hooks_fire_in_client_order_selection_first_with_three_threads():
 def test_reports_round_trip_through_csv(tmp_path):
     source, train, test, parts = small_setup()
     config = small_config(strategy="fedft_rds", rounds=3, participation_fraction=0.6)
-    reports, _ = run_federation(config, source, train, parts, test)
+    reports, _ = pretrained_run(config, source, train, parts, test)
     for report in reports:
         assert report.total_selected == sum(
             selection.selection_count(len(parts[c]), config.p_ds) for c in report.participants
