@@ -137,10 +137,7 @@ _DESK_DEFAULT = {
     section: {key: default for key, (_, default) in keys.items()}
     for section, keys in _SETTINGS.items()
 }
-PRESETS = {
-    "desk-default": _DESK_DEFAULT,
-    "desk-mild": _overlay(deepcopy(_DESK_DEFAULT), {"partition": {"alpha": "0.5"}}),
-}
+PRESETS = {"desk-default": _DESK_DEFAULT}
 
 
 class ExperimentConfig:
@@ -186,6 +183,8 @@ class ExperimentConfig:
             )
         if not self.alpha > 0.0:
             raise ConfigError(f"partition.alpha must be > 0, got {self.alpha}")
+        if self.analysis["cka"]:
+            _require_cka_pair(self.federation)
         if self.analysis["histogram_bins"] < 2:
             raise ConfigError("analysis.histogram_bins must be >= 2")
         rhos = self.analysis["histogram_rhos"]
@@ -210,6 +209,17 @@ class ExperimentConfig:
             },
         }
         return out
+
+
+def _require_cka_pair(federation: FederationConfig) -> None:
+    """ConfigError unless round 1 yields at least two client models for CKA."""
+    n, f = federation.num_clients, federation.participation_fraction
+    count = min(n, max(1, round(f * n)))  # the count sample_participants draws
+    if federation.rounds < 1 or count < 2:
+        raise ConfigError(
+            f"CKA needs 2 or more round-1 client models, but {federation.rounds} round(s) "
+            f"with {count} of {n} client(s) taking part give fewer"
+        )
 
 
 def _read_ini(path: Path) -> dict:
@@ -360,19 +370,18 @@ def _prepare_run(config: ExperimentConfig, source: Dataset, target: Dataset):
     return initial_model(config.federation, source, train), train, test, partitions
 
 
-def _open_run(args: argparse.Namespace):
+def _open_run(config: ExperimentConfig, out: Path):
     """Set up `run`, `analyze-cka` or `entropy-hist` on the dataset files that
-    `generate` wrote: (config, start time, output directory, source,
-    `_prepare_run` result).
+    `generate` wrote: (start time, output directory, source, `_prepare_run`
+    result).
 
     The command holds the source to its end, as it did when the round loop
     took it. Freed mid-run, it leaves a heap on which later in-process
     `generate` runs page-fault: perfbench's desk-eds `setup_s` read 17–34%
     slower.
     """
-    config = build_config(args)
     started = _utc_now()
-    out_dir = Path(args.out)
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = list(_dataset_paths(config, out_dir).values())
     for path in paths:
@@ -381,7 +390,7 @@ def _open_run(args: argparse.Namespace):
                 f"dataset file {path} does not exist (run `fedsim generate` first)"
             )
     source, target = (load_dataset(path) for path in paths)
-    return config, started, out_dir, source, _prepare_run(config, source, target)
+    return started, out_dir, source, _prepare_run(config, source, target)
 
 
 def _round_one_capture():
@@ -419,7 +428,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config, started, out_dir, _source, (start, train, test, partitions) = _open_run(args)
+    config = build_config(args)
+    started, out_dir, _source, (start, train, test, partitions) = _open_run(config, args.out)
     captured, capture = _round_one_capture()
     dump_rows: list[list] = []
     selection_hook = None
@@ -456,7 +466,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_csv(dump_path, header, dump_rows)
         outputs["selection_dump.csv"] = dump_path
 
-    if len(captured) >= 2:
+    if config.analysis["cka"]:
         _write_cka(captured, test, out_dir, outputs)
 
     if config.analysis["entropy_histogram"]:
@@ -532,8 +542,10 @@ def _write_entropy_histograms(
 
 def cmd_analyze_cka(args: argparse.Namespace) -> int:
     """Run a single round and report pairwise client-model CKA at each level."""
-    config, started, out_dir, _source, (start, train, test, partitions) = _open_run(args)
-    config.federation.rounds = 1
+    args.rounds = 1  # convenience flags are the last config layer: one round, always
+    config = build_config(args)
+    _require_cka_pair(config.federation)
+    started, out_dir, _source, (start, train, test, partitions) = _open_run(config, args.out)
     captured, capture = _round_one_capture()
     run_federation(
         config.federation,
@@ -558,7 +570,8 @@ def cmd_analyze_cka(args: argparse.Namespace) -> int:
 
 def cmd_entropy_hist(args: argparse.Namespace) -> int:
     """Histogram prediction entropies of the pretrained model per temperature."""
-    config, started, out_dir, _source, (start, train, _test, _partitions) = _open_run(args)
+    config = build_config(args)
+    started, out_dir, _source, (start, train, _test, _partitions) = _open_run(config, args.out)
     rhos = config.analysis["histogram_rhos"]
     outputs: dict[str, Path] = {}
     all_counts = _write_entropy_histograms(

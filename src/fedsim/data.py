@@ -55,17 +55,9 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.features[indices],
-            self.labels[indices],
-            self.num_classes,
-            name if name is not None else self.name,
-        )
-
-    def label_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
+        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -220,10 +212,7 @@ def stratified_split(
     hold_idx = np.sort(np.concatenate(holdout_parts)) if holdout_parts else np.empty(0, np.int64)
     if main_idx.size == 0 or hold_idx.size == 0:
         raise ParameterError("stratified split left one side empty")
-    return (
-        dataset.subset(main_idx, name=f"{dataset.name}/main"),
-        dataset.subset(hold_idx, name=f"{dataset.name}/holdout"),
-    )
+    return dataset.subset(main_idx), dataset.subset(hold_idx)
 
 
 def concat_datasets(parts: list[Dataset]) -> Dataset:
@@ -238,7 +227,6 @@ def concat_datasets(parts: list[Dataset]) -> Dataset:
         np.concatenate([ds.features for ds in parts], axis=0),
         np.concatenate([ds.labels for ds in parts]),
         first.num_classes,
-        "+".join(ds.name for ds in parts),
     )
 
 

@@ -390,7 +390,7 @@ def _frozen_rows(model: nn.Model, dataset: Dataset, blocks: list, width: int) ->
     rows = np.empty((len(dataset), width))
     for block in blocks:
         rows[block] = nn.layer_output(model, dataset.features[block], model.split_index)
-    return Dataset(rows, dataset.labels, dataset.num_classes, dataset.name)
+    return Dataset(rows, dataset.labels, dataset.num_classes)
 
 
 def run_federation(

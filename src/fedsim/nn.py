@@ -55,10 +55,6 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def param_count(self) -> int:
-        return self.weights.size + self.bias.size
-
     def copy(self) -> "DenseLayer":
         return DenseLayer(self.weights.copy(), self.bias.copy())
 
@@ -68,10 +64,6 @@ class ReluLayer:
     """Elementwise max(x, 0); no parameters."""
 
     kind: ClassVar[str] = "relu"
-
-    @property
-    def param_count(self) -> int:
-        return 0
 
     def copy(self) -> "ReluLayer":
         return ReluLayer()
@@ -123,22 +115,11 @@ class Model:
                 return layer.in_dim
         raise ShapeError("model has no dense layer")
 
-    @property
-    def param_count(self) -> int:
-        return sum(layer.param_count for layer in self.layers)
-
     def trainable_layer_indices(self) -> list[int]:
         """Indices of dense layers belonging to the trainable head."""
         return [
             i
             for i in range(self.split_index, len(self.layers))
-            if isinstance(self.layers[i], DenseLayer)
-        ]
-
-    def frozen_layer_indices(self) -> list[int]:
-        return [
-            i
-            for i in range(self.split_index)
             if isinstance(self.layers[i], DenseLayer)
         ]
 
@@ -334,22 +315,13 @@ def sgd_step(model: Model, grads: Gradients, opt: OptimizerState) -> None:
         layer.bias -= opt.learning_rate * vb
 
 
-def split_params(model: Model) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Views of (frozen, trainable) parameters as two disjoint array lists."""
-    phi = []
-    for i in model.frozen_layer_indices():
-        layer = model.layers[i]
-        phi.extend([layer.weights, layer.bias])
+def get_theta(model: Model) -> list[np.ndarray]:
+    """References to each head dense layer's weights then bias, in layer order."""
     theta = []
     for i in model.trainable_layer_indices():
         layer = model.layers[i]
         theta.extend([layer.weights, layer.bias])
-    return phi, theta
-
-
-def get_theta(model: Model) -> list[np.ndarray]:
-    """References to head parameter arrays, in deterministic order."""
-    return split_params(model)[1]
+    return theta
 
 
 def copy_theta(model: Model) -> list[np.ndarray]:

@@ -48,20 +48,8 @@ def selection_count(n: int, p_ds: float) -> int:
     return max(1, math.floor(Fraction(str(float(p_ds))) * n))
 
 
-def compute_entropy(probs: np.ndarray) -> float:
-    """Shannon entropy in nats of one probability vector; 0*log(0) is 0."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise ParameterError(f"expected a probability vector, got shape {probs.shape}")
-    if (probs < 0.0).any():
-        raise ParameterError("probabilities must be nonnegative")
-    if abs(float(probs.sum()) - 1.0) > 1e-6:
-        raise ParameterError("probabilities must sum to 1")
-    return float(entropy_rows(probs[None, :])[0])
-
-
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
-    """Row-wise Shannon entropy of a probability matrix (no validation)."""
+    """Row-wise Shannon entropy in nats, 0*log(0) being 0 (no validation)."""
     terms = np.zeros_like(probs)
     nz = probs > 0.0
     terms[nz] = probs[nz] * np.log(probs[nz])

@@ -33,6 +33,11 @@ def _report(num: int, passed: bool, detail: str) -> None:
     assert passed, f"criterion {num}: {detail}"
 
 
+def one_row_entropy(probs):
+    """entropy_rows, the scorer selection runs, on a single probability vector."""
+    return selection.entropy_rows(probs[None, :])[0]
+
+
 # --- desk preset plumbing (mirrors the CLI exactly) -------------------------
 
 
@@ -135,16 +140,16 @@ def test_criterion_1_numerics_suite():
         r1, r2 = np.sort(rng.uniform(0.05, 5.0, size=2))
         if r1 == r2:
             continue
-        h1 = selection.compute_entropy(nn.softmax_with_temperature(z, r1))
-        h2 = selection.compute_entropy(nn.softmax_with_temperature(z, r2))
+        h1 = one_row_entropy(nn.softmax_with_temperature(z, r1))
+        h2 = one_row_entropy(nn.softmax_with_temperature(z, r2))
         assert h1 < h2
         checked += 1
 
     # entropy anchor points
-    assert abs(selection.compute_entropy(np.full(7, 1.0 / 7.0)) - math.log(7)) <= 1e-12
+    assert abs(one_row_entropy(np.full(7, 1.0 / 7.0)) - math.log(7)) <= 1e-12
     one_hot = np.zeros(5)
     one_hot[3] = 1.0
-    assert selection.compute_entropy(one_hot) == 0.0
+    assert one_row_entropy(one_hot) == 0.0
 
     # backprop vs central finite differences, 100 random parameter probes
     model = nn.build_mlp(6, (10,), 4, split_index=0, seed=21)

@@ -348,6 +348,41 @@ def test_analyze_cka_is_the_first_round_of_run(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--analysis.cka", "true"], ["analyze-cka"]],
+    ids=["run", "analyze-cka"],
+)
+@pytest.mark.parametrize(
+    "clients",
+    [
+        ["--federation.num_clients", "1"],
+        ["--federation.num_clients", "4", "--federation.participation_fraction", "0.25"],
+    ],
+    ids=["one_client", "one_participant"],
+)
+def test_cka_with_one_participant_is_rejected_before_any_read(tmp_path, capsys, command, clients):
+    out = tmp_path / "cka"
+    assert run_cli([command[0], "--out", out, "--seed", 5, *TINY, *command[1:], *clients]) == 2
+    assert "CKA needs 2 or more round-1 client models" in capsys.readouterr().err
+    # rejected while building the config: the output directory, made before
+    # the dataset files are looked for, does not exist either
+    assert not out.exists()
+
+
+def test_run_with_cka_and_no_rounds_is_rejected(tmp_path, capsys):
+    out = tmp_path / "cka0"
+    assert run_cli(["run", "--out", out, *TINY, "--analysis.cka", "true", "--rounds", "0"]) == 2
+    assert "0 round(s)" in capsys.readouterr().err
+
+
+def test_analyze_cka_runs_and_records_one_round_whatever_rounds_says(tmp_path, capsys):
+    out, _ = _command_output(tmp_path, capsys, "analyze-cka", "--rounds", "0")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["federation"]["rounds"] == 1
+    assert {"cka_low.csv", "cka_mid.csv", "cka_up.csv"} <= set(manifest["outputs"])
+
+
 def test_entropy_hist_is_the_histogram_of_a_zero_round_run(tmp_path, capsys):
     hist, printed = _command_output(tmp_path, capsys, "entropy-hist")
     run, _ = _command_output(

@@ -383,21 +383,27 @@ def test_sgd_keeps_frozen_layers_bitwise_identical():
     assert np.array_equal(model.layers[0].bias, frozen_before[1])
 
 
-# --- split_params ------------------------------------------------------------
+# --- get_theta ----------------------------------------------------------------
+
+
+def dense_param_sizes(layers):
+    """Weight plus bias size of every dense layer in `layers`."""
+    return sum(l.weights.size + l.bias.size for l in layers if l.kind == "dense")
 
 
 def test_split_zero_means_whole_model_trainable():
     model = make_model(split_index=0)
-    phi, theta = nn.split_params(model)
-    assert phi == []
-    assert sum(a.size for a in theta) == model.param_count
+    theta = nn.get_theta(model)
+    assert sum(a.size for a in theta) == dense_param_sizes(model.layers)
+    dense = [l for l in model.layers if l.kind == "dense"]
+    head = [a for l in dense for a in (l.weights, l.bias)]
+    assert len(theta) == len(head) and all(a is b for a, b in zip(theta, head))
 
 
 def test_split_at_end_means_empty_head():
     model = make_model(split_index=3)  # 3 layers: dense, relu, dense
-    phi, theta = nn.split_params(model)
-    assert theta == []
-    assert sum(a.size for a in phi) == model.param_count
+    assert nn.get_theta(model) == []
+    assert nn.theta_param_count(model) == 0
 
 
 def test_split_partition_counts():
@@ -408,20 +414,24 @@ def test_split_partition_counts():
         nn.DenseLayer(np.zeros((2, 4)), np.zeros(2)),
     ]
     model = nn.Model(layers, split_index=2, num_classes=2)
-    phi, theta = nn.split_params(model)
-    assert sum(a.size for a in phi) == 16
-    assert sum(a.size for a in theta) == 20 + 10
-    assert sum(a.size for a in phi) + sum(a.size for a in theta) == model.param_count
+    theta = nn.get_theta(model)
+    head = [layers[2].weights, layers[2].bias, layers[3].weights, layers[3].bias]
+    assert len(theta) == len(head) and all(a is b for a, b in zip(theta, head))
+    assert dense_param_sizes(layers[:2]) == 16
+    assert sum(a.size for a in theta) == dense_param_sizes(layers[2:]) == 20 + 10
+    assert nn.theta_param_count(model) == 30
 
 
 def test_mutating_theta_view_never_changes_phi():
     model = make_model(split_index=2, seed=20)
-    phi, theta = nn.split_params(model)
-    phi_snapshot = [a.copy() for a in phi]
-    for arr in theta:
+    frozen = [l for l in model.layers[: model.split_index] if l.kind == "dense"]
+    assert frozen
+    snapshot = [(l.weights.copy(), l.bias.copy()) for l in frozen]
+    for arr in nn.get_theta(model):
         arr += 123.0
-    for before, after in zip(phi_snapshot, nn.split_params(model)[0]):
-        assert np.array_equal(before, after)
+    for layer, (weights, bias) in zip(frozen, snapshot):
+        assert bitwise_equal(layer.weights, weights)
+        assert bitwise_equal(layer.bias, bias)
 
 
 # --- checkpoint io ------------------------------------------------------------

