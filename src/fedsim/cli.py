@@ -21,8 +21,10 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from copy import deepcopy
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +32,14 @@ import numpy as np
 from . import __version__, analysis, nn
 from . import rng as streams
 from .data import (
+    ClientPartition,
     Dataset,
     PartitionSpec,
     concat_datasets,
     dirichlet_partition,
     generate_synthetic,
     load_dataset,
+    open_csv,
     save_dataset,
     stratified_split,
     write_csv,
@@ -351,23 +355,26 @@ def _build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def _prepare_run(config: ExperimentConfig, source: Dataset, target: Dataset):
-    """(start model, training pool, test split, partitions) of a run.
+    """(start model, training pool, test split) of a run.
 
-    The held-out test split comes off the target, the rest is partitioned
-    across the clients, and `initial_model` builds the start model and
-    pretrains it on the source.
+    The held-out test split comes off the target, and `initial_model` builds
+    the start model and pretrains it on the source.
     """
     master = config.federation.master_seed
     train, test = stratified_split(
         target, config.dataset["test_fraction"], derive_seed(master, streams.SPLIT, 1)
     )
+    return initial_model(config.federation, source, train), train, test
+
+
+def _partition(config: ExperimentConfig, train: Dataset):
+    """The clients' shares of the training pool, for the commands that train."""
     spec = PartitionSpec(
         num_clients=config.federation.num_clients,
         alpha=config.alpha,
-        seed=derive_seed(master, streams.PARTITION),
+        seed=derive_seed(config.federation.master_seed, streams.PARTITION),
     )
-    partitions = dirichlet_partition(train, spec)
-    return initial_model(config.federation, source, train), train, test, partitions
+    return dirichlet_partition(train, spec)
 
 
 def _open_run(config: ExperimentConfig, out: Path):
@@ -405,6 +412,42 @@ def _round_one_capture():
     return captured, hook
 
 
+@contextmanager
+def _selection_dump(path: Path, partitions: list[ClientPartition], pool_size: int):
+    """Yield a selection hook that writes each client's dump rows as it fires.
+
+    One row per sample of the client's partition, in the partition's order:
+    round, client id, sample index, entropy (empty without entropy scores)
+    and 1 if the sample was selected, else 0. The rows go to a temporary
+    file next to `path`, renamed into place when the block exits normally
+    and deleted when it raises, so a failed run leaves no dump.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    selected = np.zeros(pool_size, dtype=np.uint8)  # reused 0/1 flags over the pool
+    try:
+        header = ["round", "client_id", "sample_index", "entropy", "selected"]
+        with open_csv(tmp, header) as writer:
+
+            def hook(round_no: int, client_id: int, result) -> None:
+                indices = partitions[client_id].sample_indices
+                selected[result.selected_indices] = 1
+                flags = selected[indices].tolist()
+                selected[result.selected_indices] = 0
+                if result.entropies is None:
+                    entropies = repeat("")
+                else:
+                    entropies = map(repr, result.entropies.tolist())  # the strings _fmt gives
+                writer.writerows(
+                    zip(repeat(round_no), repeat(client_id), indices.tolist(), entropies, flags)
+                )
+
+            yield hook
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -429,42 +472,32 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = build_config(args)
-    started, out_dir, _source, (start, train, test, partitions) = _open_run(config, args.out)
+    started, out_dir, _source, (start, train, test) = _open_run(config, args.out)
+    partitions = _partition(config, train)
     captured, capture = _round_one_capture()
-    dump_rows: list[list] = []
-    selection_hook = None
-    if config.analysis["selection_dump"]:
-
-        def selection_hook(round_no: int, client_id: int, result) -> None:
-            chosen = set(int(i) for i in result.selected_indices)
-            for i, idx in enumerate(partitions[client_id].sample_indices):
-                entropy = "" if result.entropies is None else _fmt(result.entropies[i])
-                dump_rows.append([round_no, client_id, int(idx), entropy, int(int(idx) in chosen)])
-
-    reports = run_federation(
-        config.federation,
-        start,
-        train,
-        partitions,
-        test,
-        threads=args.threads,
-        client_model_hook=capture if config.analysis["cka"] else None,
-        selection_hook=selection_hook,
-    )
-
     outputs: dict[str, Path] = {}
+    dump = nullcontext()
+    if config.analysis["selection_dump"]:
+        outputs["selection_dump.csv"] = out_dir / "selection_dump.csv"
+        dump = _selection_dump(outputs["selection_dump.csv"], partitions, len(train))
+    with dump as selection_hook:
+        reports = run_federation(
+            config.federation,
+            start,
+            train,
+            partitions,
+            test,
+            threads=args.threads,
+            client_model_hook=capture if config.analysis["cka"] else None,
+            selection_hook=selection_hook,
+        )
+
     reports_path = out_dir / "reports.csv"
     write_reports_csv(reports, config.federation.strategy, reports_path)
     outputs["reports.csv"] = reports_path
     checkpoint_path = out_dir / "model.ckpt"
     nn.save_model(start, checkpoint_path)
     outputs["model.ckpt"] = checkpoint_path
-
-    if config.analysis["selection_dump"]:
-        dump_path = out_dir / "selection_dump.csv"
-        header = ["round", "client_id", "sample_index", "entropy", "selected"]
-        write_csv(dump_path, header, dump_rows)
-        outputs["selection_dump.csv"] = dump_path
 
     if config.analysis["cka"]:
         _write_cka(captured, test, out_dir, outputs)
@@ -545,13 +578,13 @@ def cmd_analyze_cka(args: argparse.Namespace) -> int:
     args.rounds = 1  # convenience flags are the last config layer: one round, always
     config = build_config(args)
     _require_cka_pair(config.federation)
-    started, out_dir, _source, (start, train, test, partitions) = _open_run(config, args.out)
+    started, out_dir, _source, (start, train, test) = _open_run(config, args.out)
     captured, capture = _round_one_capture()
     run_federation(
         config.federation,
         start,
         train,
-        partitions,
+        _partition(config, train),
         test,
         threads=args.threads,
         client_model_hook=capture,
@@ -571,7 +604,7 @@ def cmd_analyze_cka(args: argparse.Namespace) -> int:
 def cmd_entropy_hist(args: argparse.Namespace) -> int:
     """Histogram prediction entropies of the pretrained model per temperature."""
     config = build_config(args)
-    started, out_dir, _source, (start, train, _test, _partitions) = _open_run(config, args.out)
+    started, out_dir, _source, (start, train, _test) = _open_run(config, args.out)
     rhos = config.analysis["histogram_rhos"]
     outputs: dict[str, Path] = {}
     all_counts = _write_entropy_histograms(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv as csv_module
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,11 +304,22 @@ def load_dataset(path) -> Dataset:
     return Dataset(features.copy(), labels, int(num_classes), name)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header row, then `rows`, as CSV: comma separated, LF endings."""
+@contextmanager
+def open_csv(path, header):
+    """Write a header row to `path` and yield a writer for the rows that follow.
+
+    CSV as every fedsim table is written: comma separated, LF endings. The
+    file is closed when the block exits.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv_module.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        yield writer
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then `rows`, as CSV: comma separated, LF endings."""
+    with open_csv(path, header) as writer:
         writer.writerows(rows)
 
 
@@ -332,6 +344,7 @@ __all__ = [
     "stratified_split",
     "save_dataset",
     "load_dataset",
+    "open_csv",
     "write_csv",
     "mean_client_label_entropy",
 ]

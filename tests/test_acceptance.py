@@ -55,7 +55,8 @@ def desk_config(master_seed, dataset_overrides=None, **federation_overrides):
 
 def desk_inputs(config):
     """(pretrained model, train, test, partitions), built as `fedsim run` builds them."""
-    return cli._prepare_run(config, *cli._build_datasets(config))
+    start, train, test = cli._prepare_run(config, *cli._build_datasets(config))
+    return start, train, test, cli._partition(config, train)
 
 
 def desk_run(config, inputs, hook=None):

@@ -1,15 +1,24 @@
 """End-to-end CLI behaviour: generate, run, compare, analyses, manifests."""
 
+import gc
 import json
+import os
 import shutil
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedsim
 from fedsim import cli, data, nn
 from fedsim import rng as streams
+from fedsim.errors import NumericError
 from fedsim.federation import pretrain
 from fedsim.rng import derive_seed
+from fedsim.selection import SelectionResult
 
 TINY = [
     "--dataset.samples_per_class", "40",
@@ -400,6 +409,23 @@ def test_entropy_hist_is_the_histogram_of_a_zero_round_run(tmp_path, capsys):
     ]
 
 
+def test_entropy_hist_does_not_partition_the_pool(tmp_path):
+    # 200 clients cannot share the 52 TINY training samples, but entropy-hist
+    # only pretrains, so the client count must not matter to it
+    outs = {}
+    for clients in ("5", "200"):
+        out = outs[clients] = tmp_path / f"clients{clients}"
+        generate(out)
+        assert run_cli([
+            "entropy-hist", "--out", out, "--seed", 5, *TINY, "--federation.num_clients", clients,
+        ]) == 0
+    names = sorted(p.name for p in outs["5"].glob("entropy_hist_rho*.csv"))
+    assert len(names) == 3
+    assert names == sorted(p.name for p in outs["200"].glob("entropy_hist_rho*.csv"))
+    for name in names:
+        assert (outs["5"] / name).read_bytes() == (outs["200"] / name).read_bytes()
+
+
 @pytest.mark.parametrize("rhos", ["1.0,1", "0.1,0.1000001"])
 def test_histogram_rhos_sharing_a_file_name_are_rejected(tmp_path, capsys, rhos):
     out = tmp_path / "hist"
@@ -433,6 +459,74 @@ def test_run_with_cka_and_dump_toggles(tmp_path):
         assert cli._sha256(out / name) == digest
 
 
+def test_selection_dump_writes_one_row_per_partition_sample_in_its_order(tmp_path):
+    partitions = [
+        data.ClientPartition(0, np.array([4, 1, 3])),
+        data.ClientPartition(1, np.array([0, 2])),
+    ]
+    path = tmp_path / "selection_dump.csv"
+    with cli._selection_dump(path, partitions, 5) as hook:
+        hook(1, 0, SelectionResult(np.array([1, 4]), np.array([0.5, 1e-17, 2.0 / 3.0])))
+        hook(1, 1, SelectionResult(np.array([2]), None))
+        hook(2, 0, SelectionResult(np.array([3]), None))  # flags of round 1 do not linger
+    assert path.read_bytes().decode("utf-8").split("\n") == [
+        "round,client_id,sample_index,entropy,selected",
+        "1,0,4,0.5,1",
+        "1,0,1,1e-17,1",
+        "1,0,3,0.6666666666666666,0",
+        "1,1,0,,0",
+        "1,1,2,,1",
+        "2,0,4,,0",
+        "2,0,1,,0",
+        "2,0,3,,1",
+        "",
+    ]
+    assert not (tmp_path / "selection_dump.csv.tmp").exists()
+
+
+def test_a_failed_run_leaves_no_selection_dump(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "failed"
+    generate(out)
+    temporary = out / "selection_dump.csv.tmp"
+
+    def diverging_run(config, start, train, partitions, test, threads, selection_hook, **hooks):
+        for part in partitions[:2]:
+            selection_hook(1, part.client_id, SelectionResult(part.sample_indices[:1], None))
+        assert temporary.exists()  # opened before the rounds, written as they run
+        raise NumericError("round 1, client 1: non-finite parameters")
+
+    monkeypatch.setattr(cli, "run_federation", diverging_run)
+    code = run_cli(["run", "--out", out, "--seed", 5, *TINY, "--analysis.selection_dump", "true"])
+    assert code == 2
+    assert "non-finite parameters" in capsys.readouterr().err
+    assert not (out / "selection_dump.csv").exists()
+    assert not temporary.exists()
+
+
+def _traced_peak(out, *flags):
+    """tracemalloc's peak in bytes over one TINY `run` in `out`."""
+    gc.collect()  # garbage of earlier runs moves the peak by tens of KB
+    tracemalloc.start()
+    try:
+        assert run_cli(["run", "--out", out, "--seed", 5, *TINY, *flags]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_selection_dump_memory_does_not_grow_with_rounds(tmp_path):
+    out = tmp_path / "dump"
+    generate(out)
+    assert run_cli(["run", "--out", out, "--seed", 5, *TINY]) == 0  # first-run allocations
+    extra = {}
+    for rounds in (2, 12):
+        dumped = _traced_peak(out, "--rounds", rounds, "--analysis.selection_dump", "true")
+        extra[rounds] = dumped - _traced_peak(out, "--rounds", rounds)
+    # rows held in memory until the run ends would add about 6.5 KB for each
+    # round of 52 rows, about 65 KB over the 10 extra rounds
+    assert abs(extra[12] - extra[2]) < 20_000
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     config_path = tmp_path / "bad.ini"
     config_path.write_text("[federation]\nwarp_speed = 9\n", encoding="utf-8")
@@ -452,3 +546,16 @@ def test_unknown_fedsim_log_level_is_an_error(tmp_path, monkeypatch, capsys):
     assert run_cli(["generate", "--out", tmp_path / "log", "--seed", 5, *TINY]) == 2
     assert "FEDSIM_LOG" in capsys.readouterr().err
     assert not (tmp_path / "log").exists()
+
+
+def test_python_m_fedsim_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "fedsim", "--version"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"fedsim {fedsim.__version__}\n"
