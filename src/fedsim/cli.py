@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 from copy import deepcopy
@@ -252,11 +253,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         _overlay(raw, deepcopy(PRESETS[args.preset]))
     if getattr(args, "config", None):
         _overlay(raw, _read_ini(args.config))
-    for section, keys in _SETTINGS.items():
-        for key in keys:
-            value = getattr(args, f"ov__{section}__{key}", None)
-            if value is not None:
-                raw[section][key] = value
+    _overlay(raw, args.settings)
     for flag, (section, key) in _CONVENIENCE.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -692,62 +689,142 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None, help="INI config file")
-    parser.add_argument(
+def _shared_flags() -> argparse.ArgumentParser:
+    """The flags of the four config commands, as their one parent parser."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", type=Path, default=None, help="INI config file")
+    shared.add_argument(
         "--preset", choices=sorted(PRESETS), default=None, help="named base configuration"
     )
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--out", type=Path, default=Path("fedsim-out"), help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="parallel client workers")
-    parser.add_argument("--strategy", choices=STRATEGIES, default=None)
-    parser.add_argument("--p-ds", dest="p_ds", type=float, default=None)
-    parser.add_argument("--rho", type=float, default=None)
-    parser.add_argument("--rounds", type=int, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    for section, keys in _SETTINGS.items():
-        for key in keys:
-            parser.add_argument(
-                f"--{section}.{key}",
-                dest=f"ov__{section}__{key}",
-                default=None,
-                metavar="VALUE",
-                help=argparse.SUPPRESS,
-            )
+    shared.add_argument("--seed", type=int, default=None, help="master seed")
+    shared.add_argument("--out", type=Path, default=Path("fedsim-out"), help="output directory")
+    shared.add_argument("--threads", type=int, default=1, help="parallel client workers")
+    shared.add_argument("--strategy", choices=STRATEGIES, default=None)
+    shared.add_argument("--p-ds", dest="p_ds", type=float, default=None)
+    shared.add_argument("--rho", type=float, default=None)
+    shared.add_argument("--rounds", type=int, default=None)
+    shared.add_argument("--alpha", type=float, default=None)
+    return shared
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser. The dotted settings flags are not among its
+    options: `parse_args` resolves them from what it leaves over."""
     parser = argparse.ArgumentParser(
         prog="fedsim",
         description="Desk-scale federated fine-tuning simulator with entropy-based data selection.",
     )
     parser.add_argument("--version", action="version", version=f"fedsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = [_shared_flags()]
 
-    p_generate = sub.add_parser("generate", help="write the source/target dataset files")
-    _add_config_arguments(p_generate)
-    p_generate.set_defaults(func=cmd_generate)
+    def config_command(name: str, help_text: str, func) -> None:
+        command = sub.add_parser(name, help=help_text, parents=shared)
+        command.set_defaults(func=func, command_parser=command)
 
-    p_run = sub.add_parser("run", help="run a federation experiment")
-    _add_config_arguments(p_run)
-    p_run.set_defaults(func=cmd_run)
+    config_command("generate", "write the source/target dataset files", cmd_generate)
+    config_command("run", "run a federation experiment", cmd_run)
 
     p_compare = sub.add_parser("compare", help="summarize completed runs side by side")
     p_compare.add_argument("run_dirs", nargs="+", help="run output directories")
     p_compare.add_argument(
-        "--threshold", type=float, default=0.5, help="accuracy for rounds-to-threshold"
+        "--threshold", type=_parse_float, default=0.5, help="accuracy for rounds-to-threshold"
     )
     p_compare.add_argument("--out-file", type=Path, default=None, help="also write CSV here")
     p_compare.set_defaults(func=cmd_compare)
 
-    p_cka = sub.add_parser("analyze-cka", help="one round, pairwise client-model CKA")
-    _add_config_arguments(p_cka)
-    p_cka.set_defaults(func=cmd_analyze_cka)
-
-    p_hist = sub.add_parser("entropy-hist", help="entropy histograms of the pretrained model")
-    _add_config_arguments(p_hist)
-    p_hist.set_defaults(func=cmd_entropy_hist)
+    config_command("analyze-cka", "one round, pairwise client-model CKA", cmd_analyze_cka)
+    config_command("entropy-hist", "entropy histograms of the pretrained model", cmd_entropy_hist)
     return parser
+
+
+class _Word(str):
+    """A command-line word that knows its position, so that a dotted flag's
+    value can be told from a stray word that argparse left next to it."""
+
+    def __new__(cls, text: str, position: int):
+        word = super().__new__(cls, text)
+        word.position = position
+        return word
+
+
+_DOTTED_KEYS = [f"{section}.{key}" for section, keys in _SETTINGS.items() for key in keys]
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's own test
+
+
+def _dotted_keys(word: str) -> list[str]:
+    """The settings keys that `word`, as `--section.key[=VALUE]`, names by
+    exact name or prefix: more than one for an ambiguous prefix."""
+    name = word.partition("=")[0]
+    if not name.startswith("--") or name == "--":
+        return []
+    prefix = name[2:]
+    if prefix in _DOTTED_KEYS:
+        return [prefix]
+    return [key for key in _DOTTED_KEYS if key.startswith(prefix)]
+
+
+def _is_value(word: str) -> bool:
+    """Whether argparse takes `word` as the argument of the option before it."""
+    if not word.startswith("-") or word == "-":
+        return True
+    return not _dotted_keys(word) and (_NEGATIVE_NUMBER.match(word) is not None or " " in word)
+
+
+def _resolve_settings(
+    parser: argparse.ArgumentParser, command: argparse.ArgumentParser, words: list[_Word]
+) -> dict[str, dict[str, str]]:
+    """The `--section.key VALUE` settings among the words argparse left over
+    after a config command, as section -> key -> text.
+
+    The grammar is argparse's for an option taking one argument:
+    `--section.key VALUE` or `--section.key=VALUE`, where any unique prefix
+    of `section.key` will do and VALUE starts with "-" only if it looks like
+    a negative number. The later of two flags for one key wins. An ambiguous
+    prefix or a missing value is an error of the command; any other word is
+    an unrecognized argument.
+    """
+    settings: dict[str, dict[str, str]] = {}
+    stray = []
+    i = 0
+    while i < len(words):
+        word = words[i]
+        i += 1
+        keys = _dotted_keys(word)
+        if not keys:
+            stray.append(word)
+            continue
+        if len(keys) > 1:
+            options = ", ".join(f"--{key}" for key in keys)
+            command.error(f"ambiguous option: {word} could match {options}")
+        _, equals, value = word.partition("=")
+        if not equals:
+            # a word argparse took for itself in between is not the value
+            if i == len(words) or words[i].position != word.position + 1 or not _is_value(words[i]):
+                command.error(f"argument --{keys[0]}: expected one argument")
+            value = words[i]
+            i += 1
+        section, key = keys[0].split(".")
+        settings.setdefault(section, {})[key] = str(value)
+    if stray:
+        parser.error(f"unrecognized arguments: {' '.join(stray)}")
+    return settings
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse a command line. A config command's dotted settings go to
+    `args.settings`; argparse's errors exit with status 2."""
+    parser = build_parser()
+    words = sys.argv[1:] if argv is None else argv
+    args, rest = parser.parse_known_args([_Word(w, i) for i, w in enumerate(words)])
+    command = getattr(args, "command_parser", None)
+    # leftovers come in command-line order; any before the command are the
+    # top level's, which takes no settings
+    if rest and (command is None or rest[0].position < args.command.position):
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    if command is not None:
+        args.settings = _resolve_settings(parser, command, rest)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -760,8 +837,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (FedsimError, FileNotFoundError) as exc:

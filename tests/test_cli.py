@@ -1,6 +1,10 @@
 """End-to-end CLI behaviour: generate, run, compare, analyses, manifests."""
 
+import argparse
+import contextlib
 import gc
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -11,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedsim
 from fedsim import cli, data, nn
 from fedsim import rng as streams
-from fedsim.errors import NumericError
+from fedsim.errors import ConfigError, NumericError
 from fedsim.federation import pretrain
 from fedsim.rng import derive_seed
 from fedsim.selection import SelectionResult
@@ -34,6 +40,14 @@ TINY = [
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+def exit_code(args):
+    """main's return code, or the code of the SystemExit that argparse raises."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def generate(out_dir, seed=5, extra=()):
@@ -296,6 +310,23 @@ def test_compare_threshold_sentinel(tmp_path):
         assert row.endswith(",")  # absent, not zero
 
 
+@pytest.mark.parametrize(
+    "threshold",
+    [["--threshold", "nan"], ["--threshold", "inf"], ["--threshold=-inf"]],
+    ids=["nan", "inf", "-inf"],
+)
+def test_compare_rejects_a_non_finite_threshold(tmp_path, capsys, threshold):
+    out = tmp_path / "run"
+    generate(out)
+    assert run_cli(["run", "--out", out, "--seed", 5, *TINY, "--rounds", "1"]) == 0
+    summary = tmp_path / "summary.csv"
+    capsys.readouterr()
+    code = exit_code(["compare", out, out, *threshold, "--out-file", summary])
+    assert code == 2
+    assert "--threshold" in capsys.readouterr().err
+    assert not summary.exists()
+
+
 def test_analyze_cka_outputs_matrices(tmp_path):
     out = tmp_path / "cka"
     generate(out)
@@ -527,6 +558,80 @@ def test_selection_dump_memory_does_not_grow_with_rounds(tmp_path):
     assert abs(extra[12] - extra[2]) < 20_000
 
 
+def test_compare_rejects_dotted_settings(tmp_path, capsys):
+    summary = tmp_path / "summary.csv"
+    code = exit_code([
+        "compare", tmp_path, tmp_path, "--federation.rounds", "3", "--out-file", summary,
+    ])
+    assert code == 2
+    assert "unrecognized arguments: --federation.rounds 3" in capsys.readouterr().err
+    assert not summary.exists()
+
+
+def test_analyze_cka_runs_one_round_whatever_the_dotted_rounds_says(tmp_path, capsys):
+    out, _ = _command_output(tmp_path, capsys, "analyze-cka", "--federation.rounds", "7")
+    assert json.loads((out / "manifest.json").read_text())["config"]["federation"]["rounds"] == 1
+
+
+def test_short_flags_beat_dotted_flags_which_beat_the_config_file(tmp_path):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text("[federation]\nrounds = 1\nlocal_epochs = 2\n", encoding="utf-8")
+    out = tmp_path / "layers"
+    code = run_cli([
+        "generate", "--out", out, *TINY, "--config", config_path,
+        "--federation.rounds", "9", "--rounds", "4", "--federation.local_epochs", "3",
+    ])
+    assert code == 0
+    fed = json.loads((out / "manifest.json").read_text())["config"]["federation"]
+    assert (fed["rounds"], fed["local_epochs"]) == (4, 3)
+
+
+SHARED_OPTIONS = [
+    "-h", "--help", "--config", "--preset", "--seed", "--out", "--threads",
+    "--strategy", "--p-ds", "--rho", "--rounds", "--alpha",
+]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("generate", SHARED_OPTIONS),
+        ("run", SHARED_OPTIONS),
+        ("analyze-cka", SHARED_OPTIONS),
+        ("entropy-hist", SHARED_OPTIONS),
+        ("compare", ["-h", "--help", "--threshold", "--out-file"]),
+    ],
+    ids=["generate", "run", "analyze-cka", "entropy-hist", "compare"],
+)
+def test_help_lists_the_shared_options_and_no_dotted_key(capsys, command, options):
+    assert exit_code([command, "--help"]) == 0
+    listed = [
+        word.rstrip(",")
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  -")
+        for word in line.split()
+        if word.startswith("-")
+    ]
+    assert listed == options
+
+
+def test_every_setting_reads_the_same_from_a_dotted_flag_and_an_ini_file(tmp_path):
+    flags, lines = [], []
+    for section, keys in cli._SETTINGS.items():
+        lines.append(f"[{section}]")
+        for key, (_, default) in keys.items():
+            flags += [f"--{section}.{key}", default]
+            lines.append(f"{key} = {default}")
+    config_path = tmp_path / "all.ini"
+    config_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    snapshots = []
+    for name, extra in (("flags", flags), ("ini", ["--config", config_path])):
+        out = tmp_path / name
+        assert run_cli(["generate", "--out", out, *extra]) == 0
+        snapshots.append(json.loads((out / "manifest.json").read_text())["config"])
+    assert snapshots[0] == snapshots[1]
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     config_path = tmp_path / "bad.ini"
     config_path.write_text("[federation]\nwarp_speed = 9\n", encoding="utf-8")
@@ -559,3 +664,167 @@ def test_python_m_fedsim_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"fedsim {fedsim.__version__}\n"
+
+
+@pytest.mark.parametrize("size", [0, 2048, (1 << 20) + 5])
+def test_sha256_digests_the_whole_file(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# --- the dotted-flag grammar against argparse --------------------------------
+
+DOTTED = [f"{section}.{key}" for section, keys in cli._SETTINGS.items() for key in keys]
+
+
+def oracle_parse(words):
+    """`run`'s namespace as argparse gives it with every setting declared as a
+    hidden `--section.key` option beside the shared flags."""
+    parser = argparse.ArgumentParser(prog="fedsim run", parents=[cli._shared_flags()])
+    for dotted in DOTTED:
+        parser.add_argument(f"--{dotted}", dest=dotted, metavar="VALUE", help=argparse.SUPPRESS)
+    args = parser.parse_args(words)
+    args.settings = {}
+    for dotted in DOTTED:
+        value = vars(args).pop(dotted)
+        if value is not None:
+            section, key = dotted.split(".")
+            args.settings.setdefault(section, {})[key] = value
+    return args
+
+
+def outcome(parse, words):
+    """(config snapshot, out, threads) of a command line, or its exit status."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(words)
+            config = cli.build_config(args)
+        except SystemExit as exc:
+            return exc.code
+        except ConfigError:
+            return 2
+    return config.snapshot(), args.out, args.threads
+
+
+# every option string of the oracle, for telling unique prefixes apart
+ORACLE_OPTIONS = [f"--{d}" for d in DOTTED] + SHARED_OPTIONS
+
+
+def prefixes(dotted, matching):
+    """The proper prefixes of `dotted` that start `matching` oracle options."""
+    return [
+        dotted[:n]
+        for n in range(1, len(dotted))
+        if matching(sum(option.startswith(f"--{dotted[:n]}") for option in ORACLE_OPTIONS))
+    ]
+
+
+UNIQUE_PREFIXES = {dotted: prefixes(dotted, lambda count: count == 1) for dotted in DOTTED}
+# prefixes no shared flag starts: `--a` could be `--alpha` as well as `--analysis.*`
+AMBIGUOUS_PREFIXES = sorted({
+    prefix
+    for dotted in DOTTED
+    for prefix in prefixes(dotted, lambda count: count > 1)
+    if not any(flag.startswith(f"--{prefix}") for flag in SHARED_OPTIONS)
+})
+INT_KEYS = [
+    f"{section}.{key}"
+    for section, keys in cli._SETTINGS.items()
+    for key, (parse, _) in keys.items()
+    if parse is int
+]
+TEXTS = {
+    int: st.integers(-3, 40).map(str),
+    cli._parse_float: st.sampled_from(["0.5", "0.25", "1", "-0.5", "-.5", "-1e-3", "nan"]),
+    cli._parse_bool: st.sampled_from(["true", "off", "maybe"]),
+    cli._parse_int_tuple: st.sampled_from(["8,8", "16", "-4"]),
+    cli._parse_float_tuple: st.sampled_from(["1.0,0.5", "0.1", "-1"]),
+    str: st.sampled_from(["fedavg", "fedprox", "other.feds", "-"]),
+}
+
+
+@st.composite
+def dotted_flag(draw):
+    """One setting as `--key VALUE` or `--key=VALUE`, by its name or a unique prefix."""
+    dotted = draw(st.sampled_from(DOTTED))
+    name = draw(st.sampled_from([dotted, *UNIQUE_PREFIXES[dotted]]))
+    section, key = dotted.split(".")
+    parse, default = cli._SETTINGS[section][key]
+    value = draw(st.one_of(st.just(default), TEXTS[parse]))
+    return draw(st.sampled_from([[f"--{name}", value], [f"--{name}={value}"]]))
+
+
+OTHER_WORDS = st.sampled_from([
+    ["--rounds", "3"], ["--seed", "9"], ["--strategy", "fedprox"], ["--p-ds", "0.25"],
+    ["--alpha", "0.5"], ["--threads", "2"], ["--preset", "desk-default"],
+    ["--federation.warp_speed", "9"], ["--nosuch.key=1"], ["--federation", "1"],
+    ["stray"], ["7"],
+])
+
+
+@st.composite
+def negative_int_flag(draw):
+    """An integer setting given a negative value; only the master seed takes one."""
+    dotted = draw(st.one_of(st.just("federation.master_seed"), st.sampled_from(INT_KEYS)))
+    name = draw(st.sampled_from([dotted, *UNIQUE_PREFIXES[dotted]]))
+    return [f"--{name}", str(draw(st.integers(-99, -1)))]
+
+
+AMBIGUOUS_FLAG = st.tuples(st.sampled_from(AMBIGUOUS_PREFIXES), st.sampled_from(["3", "0.5"])).map(
+    lambda pair: [f"--{pair[0]}", pair[1]]
+)
+
+
+@st.composite
+def run_lines(draw):
+    """A `run` command line of dotted flags, shared flags, unknown keys and stray
+    words, where a dotted flag may lack its value, at the end or before a flag."""
+    piece = st.one_of(dotted_flag(), dotted_flag(), negative_int_flag(), AMBIGUOUS_FLAG, OTHER_WORDS)
+    pieces = draw(st.lists(piece, max_size=7))
+    if pieces and draw(st.booleans()):
+        index = draw(st.integers(0, len(pieces) - 1))
+        pieces[index] = [f"--{draw(st.sampled_from(DOTTED))}"]
+    return [word for piece in pieces for word in piece]
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        ["--federation.strategy", "--seed", "3", "fedavg"],
+        ["--federation.r", "3"],
+        ["--federation.rounds"],
+        ["--federation.rounds", "-x"],
+        ["--federation.rounds", "3", "stray"],
+    ],
+    ids=["value not next to its flag", "ambiguous prefix", "no value", "flag for value", "stray"],
+)
+def test_malformed_dotted_flags_exit_2(tmp_path, words):
+    assert exit_code(["generate", "--out", tmp_path, *TINY, *words]) == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_dotted_flags_go_after_the_command(tmp_path):
+    assert exit_code(["--federation.rounds=3", "generate", "--out", tmp_path, *TINY]) == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "words, seed",
+    [
+        (["--federation.master_seed", "-3"], -3),
+        (["--federation.master=-4"], -4),
+        (["--federation.master_seed=1", "--federation.master_seed", "2"], 2),
+    ],
+    ids=["negative number", "prefix and equals", "later wins"],
+)
+def test_dotted_flag_forms(tmp_path, words, seed):
+    assert exit_code(["generate", "--out", tmp_path, *TINY, *words]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["master_seed"] == seed
+
+
+@settings(max_examples=400)
+@given(run_lines())
+def test_dotted_flags_parse_as_argparse_options_would(words):
+    expected = outcome(oracle_parse, words)
+    assert outcome(lambda w: cli.parse_args(["run", *w]), words) == expected
