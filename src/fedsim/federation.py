@@ -21,6 +21,7 @@ each client's charge then and adds it as that client's update is folded.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import logging
 from collections import deque
@@ -172,29 +173,22 @@ def _run_epochs(
 ) -> None:
     """Mini-batch SGD in place; one shuffle per epoch from the given seeds.
 
-    A nonzero prox_mu adds the FedProx pull mu * (theta - theta_t) to every
-    gradient, theta_t being the trainable layers as this call found them.
+    Trains in `opt`'s flat buffers, which it binds to `model` (see
+    nn.OptimizerState.bind). A nonzero prox_mu adds the FedProx pull
+    mu * (theta - theta_t) to every gradient, theta_t being the trainable
+    parameters as this call found them.
     """
-    theta_ref = None
-    if prox_mu != 0.0:
-        theta_ref = {
-            idx: (model.layers[idx].weights.copy(), model.layers[idx].bias.copy())
-            for idx in model.trainable_layer_indices()
-        }
+    opt.bind(model)
+    anchor = opt.params.copy() if prox_mu != 0.0 else None
     n = features.shape[0]
     for epoch in range(epochs):
         order = derive_rng(epoch_seeds[epoch]).permutation(n)
         for start in range(0, n, batch_size):
             chosen = order[start : start + batch_size]
-            xb = features[chosen]
-            yb = labels[chosen]
-            grads = nn.backward(model, xb, yb)
-            if theta_ref is not None:
-                for idx, (dw, db) in grads.by_layer.items():
-                    layer = model.layers[idx]
-                    ref_w, ref_b = theta_ref[idx]
-                    dw += prox_mu * (layer.weights - ref_w)
-                    db += prox_mu * (layer.bias - ref_b)
+            grads = nn.backward(model, features[chosen], labels[chosen], out=opt.gradients)
+            if anchor is not None:
+                # kept as g + mu * (theta - theta_t): another grouping changes bits
+                opt.grad += prox_mu * (opt.params - anchor)
             nn.sgd_step(model, grads, opt)
 
 
@@ -530,7 +524,10 @@ def run_federation(
             ahead = deque()
             try:
                 for client_id in clients:
-                    ahead.append(pool.submit(client_round, round_no, client_id))
+                    # each job runs in a copy of the caller's context, so
+                    # numpy's error state holds on the workers too
+                    job = contextvars.copy_context().run
+                    ahead.append(pool.submit(job, client_round, round_no, client_id))
                     if len(ahead) > 2 * threads:
                         yield ahead.popleft().result()
                 while ahead:

@@ -6,15 +6,35 @@ Gradients and optimizer updates touch only head parameters; the lower layers
 stay bitwise constant no matter how many steps are taken. All arithmetic is
 float64 so that determinism and oracle tolerances are meaningful.
 
+Training runs on flat buffers. `OptimizerState.bind` copies the head's dense
+weights and biases, in layer order, into one float64 vector (`params`) and
+re-points each layer's `weights` and `bias` at its reshaped view; the gradient
+(`grad`) and the velocity have the same layout. So `backward(..., out=
+opt.gradients)` writes each layer's gradient straight into `grad`, the FedProx
+pull is one expression on whole vectors, and `sgd_step` moves every head
+parameter with three vector operations. Elementwise arithmetic gives the same
+bits in either layout. Where each check runs:
+
+- `forward`: the batch's shape, and finite logits;
+- `backward`: a nonempty batch, then the labels' shape, integer dtype and
+  range;
+- `sgd_step`: a gradient other than the bound one is checked against the
+  head (no layer outside it, none missing, every shape) as it is copied in;
+  then one finiteness check covers the whole flat gradient before any
+  parameter moves;
+- `OptimizerState`: finite rates when made, and on every step that it is
+  still bound to the model it is given.
+
 The training loss always uses the standard softmax (temperature 1). The
 temperature-scaled variant exists for the entropy-based data selection path.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -138,20 +158,80 @@ class Gradients:
     by_layer: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
+def _layer_views(flat: np.ndarray, indices: list[int], theta: list[np.ndarray]) -> dict:
+    """{layer index: (weights, bias)} as consecutive views of `flat`, shaped
+    like `theta` (get_theta's arrays of the layers at `indices`)."""
+    views, at = [], 0
+    for arr in theta:
+        views.append(flat[at : at + arr.size].reshape(arr.shape))
+        at += arr.size
+    return dict(zip(indices, zip(views[::2], views[1::2])))
+
+
 @dataclass
 class OptimizerState:
-    """Heavy-ball SGD state: v <- momentum * v + g, param <- param - lr * v."""
+    """Heavy-ball SGD state: v <- momentum * v + g, param <- param - lr * v.
+
+    `bind` ties the state to one model; from then on the head's parameters
+    live in `params`, and `grad` and `flat_velocity` are laid out alike. Each
+    is one float64 vector; `gradients` and `velocity` hold their per-layer
+    views, keyed by layer index.
+    """
 
     learning_rate: float
     momentum: float = 0.0
-    velocity: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    velocity: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, init=False)
+    model: Optional[Model] = field(default=None, init=False, repr=False)
+    params: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    grad: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    flat_velocity: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    gradients: Optional[Gradients] = field(default=None, init=False, repr=False)
+    _split: int = field(default=0, init=False, repr=False)
+    _param_views: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # 0 is allowed so a step can accumulate velocity without moving
-        if self.learning_rate < 0.0:
-            raise ParameterError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ParameterError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
+
+    def bind(self, model: Model) -> None:
+        """Make the flat buffers the storage of `model`'s head, once.
+
+        The first call copies the head's current values into `params`,
+        re-points the layers at their views and zeroes the velocity. Later
+        calls check that the state still trains this model: same split, and
+        each head layer still holds its view. A ParameterError otherwise,
+        since a step would then move parameters no layer reads.
+        """
+        if self.model is not None:
+            if (
+                model is self.model
+                and model.split_index == self._split
+                and all(
+                    model.layers[i].weights is w and model.layers[i].bias is b
+                    for i, (w, b) in self._param_views.items()
+                )
+            ):
+                return
+            raise ParameterError(
+                "optimizer state is bound to another model, or its layers were replaced"
+            )
+        indices = model.trainable_layer_indices()
+        theta = get_theta(model)
+        size = sum(arr.size for arr in theta)
+        self.params, self.grad, self.flat_velocity = np.empty(size), np.empty(size), np.zeros(size)
+        self._param_views = _layer_views(self.params, indices, theta)
+        for i, (weights, bias) in self._param_views.items():
+            layer = model.layers[i]
+            weights[...], bias[...] = layer.weights, layer.bias
+            layer.weights, layer.bias = weights, bias
+        self.gradients = Gradients(_layer_views(self.grad, indices, theta))
+        self.velocity = _layer_views(self.flat_velocity, indices, theta)
+        self.model, self._split = model, model.split_index
 
 
 def _as_batch(model: Model, batch: np.ndarray) -> np.ndarray:
@@ -176,7 +256,8 @@ def forward(model: Model, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     x = batch
     for layer in model.layers:
         if isinstance(layer, DenseLayer):
-            x = x @ layer.weights.T + layer.bias
+            x = x @ layer.weights.T
+            x += layer.bias
         else:
             x = np.maximum(x, 0.0)
         activations.append(x)
@@ -230,6 +311,14 @@ def softmax_with_temperature(logits: np.ndarray, rho: float) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def _check_labels(labels: np.ndarray, num_classes: int, what: str) -> None:
+    """Integer labels in [0, num_classes); `what` names the bound in the error."""
+    if labels.dtype.kind not in "iu":
+        raise ParameterError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ParameterError(f"label out of range for {what}")
+
+
 def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class.
 
@@ -247,17 +336,20 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     row_sums = probs.sum(axis=1)
     if np.abs(row_sums - 1.0).max() > 1e-9:
         raise ParameterError("probability rows must sum to 1 within 1e-9")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
-        raise ParameterError("label out of range for probability width")
+    _check_labels(labels, probs.shape[1], "probability width")
     picked = probs[np.arange(probs.shape[0]), labels]
     return float(-np.log(np.clip(picked, PROB_FLOOR, None)).mean())
 
 
-def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> Gradients:
+def backward(
+    model: Model, batch: np.ndarray, labels: np.ndarray, out: Optional[Gradients] = None
+) -> Gradients:
     """Exact gradients of the mean cross-entropy w.r.t. head parameters.
 
     Runs its own forward pass over the batch, so the result depends only on
-    the arguments. Frozen layers receive no gradients.
+    the arguments. Frozen layers receive no gradients. The gradients go into
+    fresh arrays, or with `out` (the `gradients` of an OptimizerState bound
+    to this model) into out's arrays, and out is returned.
     """
     batch = np.asarray(batch, dtype=np.float64)
     logits, activations = forward(model, batch)
@@ -267,52 +359,63 @@ def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> Gradients:
         raise ShapeError("batch must have at least one row")
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} != ({n},)")
-    if labels.min() < 0 or labels.max() >= model.num_classes:
-        raise ParameterError("label out of range for num_classes")
+    _check_labels(labels, model.num_classes, "num_classes")
 
-    probs = softmax_with_temperature(logits, 1.0)
-    delta = probs.copy()
+    # the softmax output is this call's own array, so delta takes it over
+    delta = softmax_with_temperature(logits, 1.0)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 
-    grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    grads = {} if out is None else out.by_layer
     for i in range(len(model.layers) - 1, model.split_index - 1, -1):
         layer = model.layers[i]
         if isinstance(layer, DenseLayer):
-            layer_input = batch if i == 0 else activations[i - 1]
-            grads[i] = (delta.T @ layer_input, delta.sum(axis=0))
+            if out is None:
+                grads[i] = (np.empty_like(layer.weights), np.empty_like(layer.bias))
+            dw, db = grads[i]
+            np.matmul(delta.T, batch if i == 0 else activations[i - 1], out=dw)
+            delta.sum(axis=0, out=db)
             if i > model.split_index:
                 delta = delta @ layer.weights
         else:
-            delta = delta * (activations[i] > 0.0)
-    return Gradients(by_layer=grads)
+            delta *= activations[i] > 0.0
+    return Gradients(by_layer=grads) if out is None else out
+
+
+def _copy_gradients(grads: Gradients, into: Gradients) -> None:
+    """Check `grads` against the bound head's layers and copy it into `into`."""
+    for idx in sorted(grads.by_layer):
+        if idx not in into.by_layer:
+            raise ShapeError(f"gradient for non-trainable layer {idx}")
+    for idx, (dw, db) in into.by_layer.items():
+        if idx not in grads.by_layer:
+            raise ShapeError(f"no gradient for trainable layer {idx}")
+        gw, gb = grads.by_layer[idx]
+        if gw.shape != dw.shape or gb.shape != db.shape:
+            raise ShapeError(f"gradient shapes do not match layer {idx}")
+        dw[...] = gw
+        db[...] = gb
 
 
 def sgd_step(model: Model, grads: Gradients, opt: OptimizerState) -> None:
     """Apply one heavy-ball SGD step to the head parameters, in place.
 
-    Velocity buffers are created lazily per layer and updated even when the
-    learning rate contribution is zero.
+    Binds `opt` to the model (OptimizerState.bind). Gradients other than
+    `opt.gradients`, as from a plain `backward`, must cover exactly the head
+    and are copied into it. Nothing moves unless the whole gradient is
+    finite; the velocity is updated even when the learning rate is zero.
     """
-    trainable = set(model.trainable_layer_indices())
-    for idx in sorted(grads.by_layer):
-        if idx not in trainable:
-            raise ShapeError(f"gradient for non-trainable layer {idx}")
-        layer = model.layers[idx]
-        dw, db = grads.by_layer[idx]
-        if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
-            raise ShapeError(f"gradient shapes do not match layer {idx}")
-        if not (np.isfinite(dw).all() and np.isfinite(db).all()):
-            raise NumericError(f"non-finite gradient at layer {idx}")
-        if idx not in opt.velocity:
-            opt.velocity[idx] = (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-        vw, vb = opt.velocity[idx]
-        vw *= opt.momentum
-        vw += dw
-        vb *= opt.momentum
-        vb += db
-        layer.weights -= opt.learning_rate * vw
-        layer.bias -= opt.learning_rate * vb
+    opt.bind(model)
+    if grads is not opt.gradients:
+        _copy_gradients(grads, opt.gradients)
+    if not np.isfinite(opt.grad).all():
+        by_layer = opt.gradients.by_layer
+        bad = next(i for i, pair in by_layer.items() if not all(np.isfinite(a).all() for a in pair))
+        raise NumericError(f"non-finite gradient at layer {bad}")
+    velocity = opt.flat_velocity
+    velocity *= opt.momentum
+    velocity += opt.grad
+    opt.params -= opt.learning_rate * velocity
 
 
 def get_theta(model: Model) -> list[np.ndarray]:

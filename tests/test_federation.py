@@ -298,6 +298,166 @@ def test_fedprox_with_too_few_epoch_seeds_fails_before_training():
     for a, b in zip(before, nn.copy_theta(model)):
         assert np.array_equal(a, b)
 
+
+def reference_training(model, features, labels, epochs, lr, momentum, batch_size, seeds, mu):
+    """Mini-batch heavy-ball SGD with the FedProx pull, one array per layer.
+
+    Written out from the formulas: a forward pass, the softmax, backprop over
+    the layers from the split on, g + mu * (theta - theta_t) when mu != 0,
+    then v <- momentum * v + g and theta <- theta - lr * v. Returns the
+    {dense index: (weights, bias)} after training and the velocities.
+    """
+    params = {
+        i: (layer.weights.copy(), layer.bias.copy())
+        for i, layer in enumerate(model.layers)
+        if isinstance(layer, nn.DenseLayer)
+    }
+    trained = [i for i in params if i >= model.split_index]
+    anchor = {i: params[i] for i in trained}
+    velocity = {i: (np.zeros_like(params[i][0]), np.zeros_like(params[i][1])) for i in trained}
+    n = features.shape[0]
+    for epoch in range(epochs):
+        order = derive_rng(seeds[epoch]).permutation(n)
+        for start in range(0, n, batch_size):
+            chosen = order[start : start + batch_size]
+            xb, yb = features[chosen], labels[chosen]
+            outputs = []
+            x = xb
+            for i in range(len(model.layers)):
+                x = x @ params[i][0].T + params[i][1] if i in params else np.maximum(x, 0.0)
+                outputs.append(x)
+            shifted = outputs[-1] - outputs[-1].max(axis=1, keepdims=True)
+            exp = np.exp(shifted)
+            delta = exp / exp.sum(axis=1, keepdims=True)
+            delta[np.arange(len(yb)), yb] -= 1.0
+            delta = delta / len(yb)
+            grads = {}
+            for i in range(len(model.layers) - 1, model.split_index - 1, -1):
+                if i in params:
+                    grads[i] = (delta.T @ (xb if i == 0 else outputs[i - 1]), delta.sum(axis=0))
+                    if i > model.split_index:
+                        delta = delta @ params[i][0]
+                else:
+                    delta = delta * (outputs[i] > 0.0)
+            for i in trained:
+                pulled = [
+                    g + mu * (p - a) if mu != 0.0 else g
+                    for g, p, a in zip(grads[i], params[i], anchor[i])
+                ]
+                velocity[i] = tuple(momentum * v + g for v, g in zip(velocity[i], pulled))
+                params[i] = tuple(p - lr * v for p, v in zip(params[i], velocity[i]))
+    return params, velocity
+
+
+@st.composite
+def training_cases(draw):
+    """A random MLP and split, data with a partial last batch allowed, and
+    random training settings; momentum and prox_mu include 0."""
+    input_dim = draw(st.integers(1, 6))
+    hidden = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    num_classes = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**31 - 1))
+    model = nn.build_mlp(input_dim, hidden, num_classes, 0, seed)
+    model.split_index = draw(st.integers(0, 2 * len(hidden)))
+    rows = draw(st.integers(1, 30))
+    rng = np.random.default_rng(seed)
+    dataset = data.Dataset(
+        rng.normal(size=(rows, input_dim)), rng.integers(0, num_classes, rows), num_classes
+    )
+    return dict(
+        model=model,
+        dataset=dataset,
+        epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, 12)),
+        lr=draw(st.floats(1e-3, 0.5)),
+        momentum=draw(st.sampled_from([0.0]) | st.floats(0.0, 0.95)),
+        mu=draw(st.sampled_from([0.0]) | st.floats(0.0, 2.0)),
+        seed=seed,
+    )
+
+
+def assert_trained_like(model, velocity, expected, expected_velocity):
+    for i, (weights, bias) in expected.items():
+        assert np.array_equal(model.layers[i].weights, weights)
+        assert np.array_equal(model.layers[i].bias, bias)
+    assert sorted(velocity) == sorted(expected_velocity)
+    for i, (vw, vb) in expected_velocity.items():
+        assert np.array_equal(velocity[i][0], vw) and np.array_equal(velocity[i][1], vb)
+
+
+@settings(max_examples=60)
+@given(training_cases())
+def test_local_update_and_pretrain_equal_the_per_layer_formulas(case):
+    model, dataset, epochs = case["model"], case["dataset"], case["epochs"]
+    lr, momentum, batch_size = case["lr"], case["momentum"], case["batch_size"]
+    seeds = [case["seed"] + epoch for epoch in range(epochs)]
+    expected, expected_velocity = reference_training(
+        model, dataset.features, dataset.labels, epochs, lr, momentum, batch_size, seeds,
+        case["mu"],
+    )
+    trained = model.copy()
+    opt = nn.OptimizerState(lr, momentum)
+    update = federation._local_update(
+        0, trained, dataset, epochs, opt, case["mu"], batch_size, seeds
+    )
+    assert_trained_like(trained, opt.velocity, expected, expected_velocity)
+    head = [a for i in sorted(expected_velocity) for a in expected[i]]
+    assert len(update.theta) == len(head)
+    assert all(np.array_equal(a, b) for a, b in zip(update.theta, head))
+
+    # pretrain trains every layer with its own seed schedule and no pull
+    pretrain_seeds = [derive_seed(case["seed"], epoch) for epoch in range(epochs)]
+    whole = model.copy()
+    whole.split_index = 0
+    expected, expected_velocity = reference_training(
+        whole, dataset.features, dataset.labels, epochs, lr, momentum, batch_size,
+        pretrain_seeds, 0.0,
+    )
+    used = []
+    step = nn.sgd_step
+
+    def spy(model_, grads, opt_):
+        used.append(opt_)
+        return step(model_, grads, opt_)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "sgd_step", spy)
+        out = pretrain(model, dataset, epochs, lr, momentum, batch_size, seed=case["seed"])
+    assert out.split_index == model.split_index
+    assert len({id(o) for o in used}) == 1
+    assert_trained_like(out, used[0].velocity, expected, expected_velocity)
+
+
+@pytest.mark.parametrize("prox_mu", [0.0, 0.01])
+def test_a_wrapping_tracer_sees_every_step_of_a_local_update(monkeypatch, prox_mu):
+    # perfbench/tracing.py times the step by wrapping these three nn names
+    _, train, _, _ = small_setup()
+    subset = train.subset(np.arange(37))
+    counts = {"forward": 0, "backward": 0, "sgd_step": 0}
+    forwards_per_backward = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            if name == "backward":
+                forwards_per_backward.append(counts["forward"])
+                result = fn(*args, **kwargs)
+                forwards_per_backward[-1] = counts["forward"] - forwards_per_backward[-1]
+                return result
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
+    model = nn.build_mlp(8, (16,), 4, split_index=2, seed=16)
+    opt = nn.OptimizerState(0.1, 0.5)
+    fedprox_local_update(0, model, subset, 3, opt, prox_mu, 8, [1, 2, 3])
+    steps = 3 * 5  # E epochs of ceil(37 / 8) batches
+    assert counts["backward"] == counts["sgd_step"] == steps
+    assert forwards_per_backward == [1] * steps
+    assert counts["forward"] == steps
+
 # --- aggregation -------------------------------------------------------------------
 
 
@@ -669,6 +829,21 @@ def test_numeric_failure_names_round_and_client():
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match=r"round \d+, client \d+"):
             pretrained_run(config, source, train, parts, test)
+
+
+@pytest.mark.parametrize(
+    "strategy, threads",
+    [("fedavg", 2), ("fedprox", 1), ("fedprox", 2), ("fedft_eds", 1), ("fedft_eds", 2)],
+)
+def test_numeric_failure_names_round_and_client_for_each_trainer(strategy, threads):
+    source, train, test, parts = small_setup()
+    # a head-only step grows theta by at most lr * |features|, so only an lr
+    # near the float64 limit makes it overflow
+    config = small_config(learning_rate=1e308, rounds=2, local_epochs=4, strategy=strategy,
+                          pretrain_epochs=0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=r"round 1, client \d+: .*non-finite"):
+            pretrained_run(config, source, train, parts, test, threads=threads)
 
 
 def test_report_time_is_nondecreasing_and_accuracy_in_range():

@@ -234,6 +234,12 @@ def test_cross_entropy_rejects_bad_labels():
         nn.cross_entropy_loss(probs, np.array([2]))
 
 
+@pytest.mark.parametrize("labels", [np.array([0.0]), np.array([True])])
+def test_cross_entropy_rejects_labels_that_are_not_integers(labels):
+    with pytest.raises(ParameterError, match="integer"):
+        nn.cross_entropy_loss(np.array([[0.5, 0.5]]), labels)
+
+
 def test_cross_entropy_rejects_unnormalized_rows():
     with pytest.raises(ParameterError):
         nn.cross_entropy_loss(np.array([[0.5, 0.4]]), np.array([0]))
@@ -315,6 +321,13 @@ def test_backward_does_not_depend_on_an_earlier_forward():
         assert np.array_equal(db, after_other.by_layer[idx][1])
 
 
+@pytest.mark.parametrize("labels", [np.array([0.5, 1.0]), np.array([0.0, 1.0]), np.array([True, False])])
+def test_backward_rejects_labels_that_are_not_integers(labels):
+    model = make_model()
+    with pytest.raises(ParameterError, match="integer"):
+        nn.backward(model, np.ones((2, 5)), labels)
+
+
 def test_backward_only_touches_head_layers():
     model = make_model(split_index=2, seed=6)  # layers: dense, relu, dense
     batch = np.random.default_rng(8).normal(size=(4, 5))
@@ -363,11 +376,87 @@ def test_sgd_zero_learning_rate_accumulates_velocity():
     assert opt.velocity[0][0][0, 0] == pytest.approx(1.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+def test_optimizer_rejects_a_non_finite_learning_rate(rate):
+    with pytest.raises(ParameterError, match="learning_rate"):
+        nn.OptimizerState(learning_rate=rate, momentum=0.5)
+
+
 def test_sgd_rejects_nonfinite_gradient():
     model = scalar_model()
     opt = nn.OptimizerState(learning_rate=0.1)
     with pytest.raises(NumericError):
         nn.sgd_step(model, scalar_grad(np.nan), opt)
+
+
+@pytest.mark.parametrize(
+    "message, by_layer",
+    [
+        ("non-trainable layer 0", {0: (np.zeros((8, 5)), np.zeros(8)), 2: (np.zeros((4, 8)), np.zeros(4))}),
+        ("do not match layer 2", {2: (np.zeros((4, 7)), np.zeros(4))}),
+    ],
+)
+def test_sgd_rejects_a_gradient_that_does_not_fit_the_head(message, by_layer):
+    model = make_model(split_index=2, seed=21)  # dense, relu, dense
+    before = nn.copy_theta(model)
+    with pytest.raises(ShapeError, match=message):
+        nn.sgd_step(model, nn.Gradients(by_layer), nn.OptimizerState(0.1))
+    assert all(np.array_equal(a, b) for a, b in zip(before, nn.copy_theta(model)))
+
+
+def test_sgd_rejects_a_gradient_that_misses_a_head_layer():
+    model = make_model(split_index=0, seed=21)
+    grads = nn.backward(model, np.ones((2, 5)), np.array([0, 1]))
+    del grads.by_layer[0]
+    with pytest.raises(ShapeError, match="no gradient for trainable layer 0"):
+        nn.sgd_step(model, grads, nn.OptimizerState(0.1))
+
+
+def test_a_non_finite_gradient_moves_no_parameter():
+    # the one finite check covers the whole head before any layer moves
+    model = make_model(split_index=0, seed=22)  # dense 0, relu, dense 2
+    rng = np.random.default_rng(22)
+    grads = nn.backward(model, rng.normal(size=(4, 5)), np.array([0, 1, 2, 3]))
+    grads.by_layer[2][1][0] = np.inf
+    before = nn.copy_theta(model)
+    opt = nn.OptimizerState(0.1, 0.5)
+    with pytest.raises(NumericError, match="layer 2"):
+        nn.sgd_step(model, grads, opt)
+    assert all(np.array_equal(a, b) for a, b in zip(before, nn.copy_theta(model)))
+    assert not opt.flat_velocity.any()
+
+
+def test_training_keeps_the_head_in_one_flat_vector_per_buffer():
+    model = make_model(split_index=2, seed=23, hidden=(6, 5))  # head: dense 2, relu, dense 4
+    rng = np.random.default_rng(23)
+    batch, labels = rng.normal(size=(6, 5)), rng.integers(0, 4, 6)
+    opt = nn.OptimizerState(0.1, 0.5)
+    opt.bind(model)
+    frozen = model.layers[0].weights
+    for _ in range(3):
+        nn.sgd_step(model, nn.backward(model, batch, labels, out=opt.gradients), opt)
+    theta = nn.get_theta(model)
+    assert bitwise_equal(opt.params, np.concatenate([a.ravel() for a in theta]))
+    for flat, arrays in (
+        (opt.params, theta),
+        (opt.grad, [a for i in (2, 4) for a in opt.gradients.by_layer[i]]),
+        (opt.flat_velocity, [a for i in (2, 4) for a in opt.velocity[i]]),
+    ):
+        assert len(arrays) == 4 and all(np.shares_memory(a, flat) for a in arrays)
+    assert not np.shares_memory(frozen, opt.params)
+
+
+def test_an_optimizer_state_trains_only_the_model_it_was_bound_to():
+    model = make_model(split_index=0, seed=24)
+    other = model.copy()
+    batch, labels = np.ones((2, 5)), np.array([0, 1])
+    opt = nn.OptimizerState(0.1, 0.5)
+    nn.sgd_step(model, nn.backward(model, batch, labels), opt)
+    with pytest.raises(ParameterError, match="bound to another model"):
+        nn.sgd_step(other, nn.backward(other, batch, labels), opt)
+    model.layers[2].bias = model.layers[2].bias.copy()
+    with pytest.raises(ParameterError, match="layers were replaced"):
+        nn.sgd_step(model, nn.backward(model, batch, labels), opt)
 
 
 def test_sgd_keeps_frozen_layers_bitwise_identical():
