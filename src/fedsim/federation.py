@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextvars
 import csv
 import logging
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -102,14 +103,14 @@ class FederationConfig:
             )
         if not 0.0 < self.p_ds <= 1.0:
             raise ConfigError(f"p_ds must be in (0, 1], got {self.p_ds}")
-        if not self.rho > 0.0:
-            raise ConfigError(f"rho must be > 0, got {self.rho}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.rho < math.inf:
+            raise ConfigError(f"rho must be finite and > 0, got {self.rho}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.prox_mu >= 0.0:
-            raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
+        if not 0.0 <= self.prox_mu < math.inf:
+            raise ConfigError(f"prox_mu must be finite and >= 0, got {self.prox_mu}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.pretrain_epochs < 0:
@@ -145,6 +146,9 @@ class FederationConfig:
 
 @dataclass
 class ClientUpdate:
+    """One client's upload: a local update's theta is one array, the
+    trained head vector; `aggregate` takes any arrays laid out alike."""
+
     client_id: int
     theta: list[np.ndarray]
     selected_count: int
@@ -170,26 +174,30 @@ def _run_epochs(
     batch_size: int,
     epoch_seeds: list[int],
     prox_mu: float = 0.0,
+    anchor: Optional[np.ndarray] = None,
 ) -> None:
-    """Mini-batch SGD in place; one shuffle per epoch from the given seeds.
+    """Mini-batch SGD on `model.theta` in place; one shuffle per epoch from
+    the given seeds.
 
-    Trains in `opt`'s flat buffers, which it binds to `model` (see
-    nn.OptimizerState.bind). A nonzero prox_mu adds the FedProx pull
-    mu * (theta - theta_t) to every gradient, theta_t being the trainable
-    parameters as this call found them.
+    A nonzero prox_mu adds the FedProx pull mu * (theta - anchor) to every
+    gradient, `anchor` being laid out like theta too. The gradient, and the
+    pull if there is one, each have one vector for every step.
     """
-    opt.bind(model)
-    anchor = opt.params.copy() if prox_mu != 0.0 else None
+    theta = model.theta
+    grad = np.empty_like(theta)
+    pull = np.empty_like(theta) if prox_mu != 0.0 else None
     n = features.shape[0]
     for epoch in range(epochs):
         order = derive_rng(epoch_seeds[epoch]).permutation(n)
         for start in range(0, n, batch_size):
             chosen = order[start : start + batch_size]
-            grads = nn.backward(model, features[chosen], labels[chosen], out=opt.gradients)
-            if anchor is not None:
-                # kept as g + mu * (theta - theta_t): another grouping changes bits
-                opt.grad += prox_mu * (opt.params - anchor)
-            nn.sgd_step(model, grads, opt)
+            nn.backward(model, features[chosen], labels[chosen], out=grad)
+            if pull is not None:
+                # kept as g + mu * (theta - anchor): another grouping changes bits
+                np.subtract(theta, anchor, out=pull)
+                pull *= prox_mu
+                grad += pull
+            nn.sgd_step(model, grad, opt)
 
 
 def pretrain(
@@ -255,15 +263,23 @@ def _local_update(
     batch_size: int,
     epoch_seeds: list[int],
 ) -> ClientUpdate:
-    """The body of both local updates; prox_mu = 0 is the plain update."""
+    """The body of both local updates; prox_mu = 0 is the plain update.
+
+    Trains a copy of `model`, one fresh vector, whose head is the upload;
+    `model` itself is left as it is and anchors the FedProx pull.
+    """
     if len(data) < 1:
         raise ParameterError("client update needs a nonempty selected subset")
     if len(epoch_seeds) < epochs:
         raise ParameterError(f"need {epochs} epoch seeds, got {len(epoch_seeds)}")
     if not prox_mu >= 0.0:
         raise ParameterError(f"prox_mu must be >= 0, got {prox_mu}")
-    _run_epochs(model, data.features, data.labels, epochs, opt, batch_size, epoch_seeds, prox_mu)
-    return ClientUpdate(client_id=client_id, theta=nn.copy_theta(model), selected_count=len(data))
+    client = model.copy()
+    _run_epochs(
+        client, data.features, data.labels, epochs, opt, batch_size, epoch_seeds, prox_mu,
+        model.theta,
+    )
+    return ClientUpdate(client_id=client_id, theta=[client.theta], selected_count=len(data))
 
 
 def client_local_update(
@@ -277,7 +293,8 @@ def client_local_update(
 ) -> ClientUpdate:
     """E epochs of mini-batch SGD on the selected subset, head only.
 
-    Mutates the given model (the client's own copy of the global model).
+    Trains a copy of the given model (the global model as the client
+    receives it) and uploads the copy's head; the given model is unchanged.
     """
     return _local_update(client_id, model, selected, epochs, opt, 0.0, batch_size, epoch_seeds)
 
@@ -292,7 +309,11 @@ def fedprox_local_update(
     batch_size: int,
     epoch_seeds: list[int],
 ) -> ClientUpdate:
-    """Local update with a proximal pull mu * (theta - theta_t) added per step."""
+    """Local update with a proximal pull mu * (theta - theta_t) added per step.
+
+    Like client_local_update it trains a copy; theta_t is the given model's
+    head, which stays as it is.
+    """
     return _local_update(client_id, model, data, epochs, opt, prox_mu, batch_size, epoch_seeds)
 
 
@@ -303,7 +324,8 @@ class UpdateFold:
     fixed order and only the running total is held. `total` is the summed
     selected count of every update that will be added. This is the one
     aggregation path: `aggregate` adds a sorted list, the round loop each
-    update as it arrives.
+    update as it arrives. A local update's theta is one head vector, so each
+    add is one weighted vector sum.
     """
 
     def __init__(self, total: int):
@@ -406,10 +428,13 @@ def run_federation(
     evaluated after every round. Each participant's round is one job,
     selection then local update, run inline at `threads` 1 and on a pool of
     `threads` workers otherwise, with at most 2 * threads jobs submitted
-    ahead of the one being folded. Hooks fire on the main thread in
-    ascending client order, `selection_hook` before `client_model_hook`, as
-    each client's update is folded into the global head; a round holds only
-    the client models still in flight.
+    ahead of the one being folded. A local update copies the global head
+    into one fresh vector, trains it and uploads that vector; after the
+    round one copy puts the folded sum into the global head, which is
+    stored in `start.theta`. Hooks fire on the main thread in ascending
+    client order, `selection_hook` before `client_model_hook`, as each
+    client's update is folded into the global head; a round holds only the
+    client models still in flight.
     Returns the round reports.
     """
     config.validate()
@@ -433,9 +458,9 @@ def run_federation(
         )
 
     master = config.master_seed
-    # The head shares its layer objects with `start`: aggregating into the
-    # head updates `start`, which stays the global model, frozen part and all.
-    head = nn.Model(start.layers[split:], 0, start.num_classes)
+    # The head is stored in `start.theta`: aggregating into the head updates
+    # `start`, which stays the global model, frozen part and all.
+    head = start.head()
     # phi is fixed from here on, so every sample goes through it once; the
     # head then selects, trains and evaluates on these rows alone.
     test_blocks = [slice(s, s + FROZEN_BLOCK_ROWS) for s in range(0, len(test), FROZEN_BLOCK_ROWS)]
@@ -458,13 +483,13 @@ def run_federation(
         + config.local_epochs * kept * train_flops * SECONDS_PER_FLOP
         for part, kept in zip(partitions, kept_counts)
     ]
-    theta_count = nn.theta_param_count(start)
     cumulative_time = 0.0
     reports: list[RoundReport] = []
 
     def client_round(round_no: int, client_id: int):
-        """Select, then train on the selection. Returns (selection, update,
-        model for the hook); a NumericError names the round and the client."""
+        """Select, then train a copy of the global head on the selection.
+        Returns (selection, update, model for the hook); a NumericError
+        names the round and the client."""
         try:
             part = partitions[client_id]
             if scores:
@@ -473,7 +498,6 @@ def run_federation(
                 chosen = select_all(part)
             else:
                 chosen = select_random(part, p_ds, derive_seed(master, streams.SELECTION, round_no))
-            client_head = head.copy()
             subset = train_rows.subset(chosen.selected_indices)
             opt = nn.OptimizerState(learning_rate=config.learning_rate, momentum=config.momentum)
             epoch_seeds = [
@@ -483,7 +507,7 @@ def run_federation(
             if config.strategy == "fedprox":
                 update = fedprox_local_update(
                     client_id,
-                    client_head,
+                    head,
                     subset,
                     config.local_epochs,
                     opt,
@@ -494,7 +518,7 @@ def run_federation(
             else:
                 update = client_local_update(
                     client_id,
-                    client_head,
+                    head,
                     subset,
                     config.local_epochs,
                     opt,
@@ -505,10 +529,9 @@ def run_federation(
             raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
         kept_model = None
         if client_model_hook is not None:
-            # the frozen layer objects are the global model's own
-            kept_model = nn.Model(
-                start.layers[:split] + client_head.layers, split, start.num_classes
-            )
+            # the global model's frozen part, then this client's head
+            kept_model = start.copy()
+            np.copyto(kept_model.theta, update.theta[0])
         return chosen, update, kept_model
 
     # No worker thread starts unless a job is submitted, i.e. threads > 1.
@@ -554,7 +577,8 @@ def run_federation(
                 cumulative_time += device_seconds[update.client_id]
                 fold.add(update)
 
-            nn.set_theta(head, fold.result())
+            (aggregate_theta,) = fold.result()
+            np.copyto(head.theta, aggregate_theta)
             accuracy, loss = evaluate_model(head, test_rows)
             report = RoundReport(
                 round=round_no,
@@ -563,7 +587,7 @@ def run_federation(
                 test_loss=loss,
                 cumulative_client_train_time=cumulative_time,
                 total_selected=fold.total,
-                comm_bytes=len(participants) * 2 * theta_count * 8,
+                comm_bytes=len(participants) * 2 * head.theta.nbytes,
             )
             reports.append(report)
             log.info(

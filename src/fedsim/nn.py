@@ -2,28 +2,27 @@
 
 A model is an ordered list of layers split at ``split_index`` into a frozen
 lower part (the feature extractor) and a trainable upper part (the head).
-Gradients and optimizer updates touch only head parameters; the lower layers
-stay bitwise constant no matter how many steps are taken. All arithmetic is
-float64 so that determinism and oracle tolerances are meaningful.
+The gradient and the optimizer's updates touch only head parameters; the
+lower layers stay bitwise constant no matter how many steps are taken. All
+arithmetic is float64 so that determinism and oracle tolerances are
+meaningful.
 
-Training runs on flat buffers. `OptimizerState.bind` copies the head's dense
-weights and biases, in layer order, into one float64 vector (`params`) and
-re-points each layer's `weights` and `bias` at its reshaped view; the gradient
-(`grad`) and the velocity have the same layout. So `backward(..., out=
-opt.gradients)` writes each layer's gradient straight into `grad`, the FedProx
-pull is one expression on whole vectors, and `sgd_step` moves every head
-parameter with three vector operations. Elementwise arithmetic gives the same
-bits in either layout. Where each check runs:
+A model's parameters are one float64 vector, `Model.params`: every dense
+layer's weights (row-major) then bias, in layer order. Each layer's arrays
+are views of it, and the head's parameters (`Model.theta`) are its tail. The
+gradient that `backward` writes and the optimizer's velocity have the head's
+layout, so the FedProx pull is one expression on whole vectors and
+`sgd_step` moves every head parameter with a few vector operations.
+Elementwise arithmetic gives the same bits in either layout. Where each
+check runs:
 
 - `forward`: the batch's shape, and finite logits;
 - `backward`: a nonempty batch, then the labels' shape, integer dtype and
-  range;
-- `sgd_step`: a gradient other than the bound one is checked against the
-  head (no layer outside it, none missing, every shape) as it is copied in;
-  then one finiteness check covers the whole flat gradient before any
-  parameter moves;
-- `OptimizerState`: finite rates when made, and on every step that it is
-  still bound to the model it is given.
+  range, and the length of `out`; its softmax runs unchecked, as `forward`
+  has checked the logits;
+- `sgd_step`: the lengths of the gradient and the velocity, then one
+  finiteness check covers the whole gradient before any parameter moves;
+- `OptimizerState`: finite rates when made.
 
 The training loss always uses the standard softmax (temperature 1). The
 temperature-scaled variant exists for the entropy-based data selection path.
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,9 +46,13 @@ _KIND_DENSE = 0
 _KIND_RELU = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
-    """Affine layer ``y = x @ W.T + b`` with weights of shape (out, in)."""
+    """Affine layer ``y = x @ W.T + b`` with weights of shape (out, in).
+
+    Frozen, so that no array can be swapped out of it: in a Model both are
+    views of the model's `params`, and training writes through them.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
@@ -57,8 +60,8 @@ class DenseLayer:
     kind: ClassVar[str] = "dense"
 
     def __post_init__(self):
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        self.bias = np.ascontiguousarray(self.bias, dtype=np.float64)
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+        object.__setattr__(self, "bias", np.asarray(self.bias, dtype=np.float64))
         if self.weights.ndim != 2:
             raise ShapeError(f"dense weights must be 2-D, got shape {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[0],):
@@ -75,58 +78,97 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.bias.copy())
 
-
-@dataclass
+@dataclass(frozen=True)
 class ReluLayer:
     """Elementwise max(x, 0); no parameters."""
 
     kind: ClassVar[str] = "relu"
 
-    def copy(self) -> "ReluLayer":
-        return ReluLayer()
-
 
 Layer = Union[DenseLayer, ReluLayer]
 
 
-@dataclass
 class Model:
     """Feed-forward network; layers [0, split_index) are frozen.
 
     ``split_index`` may be anywhere in [0, len(layers)]: 0 means the whole
     model is trainable (the plain FedAvg configuration), len(layers) means
     nothing is (rejected upstream by the federation config).
+
+    Building a model lays out a fresh `params` vector and copies the given
+    layers' values into it; `layers` then holds layers whose arrays are
+    views of `params`.
     """
 
-    layers: list[Layer]
+    layers: tuple[Layer, ...]
     split_index: int
     num_classes: int
+    params: np.ndarray
 
-    def __post_init__(self):
-        if not self.layers:
+    def __init__(self, layers: Sequence[Layer], split_index: int, num_classes: int):
+        if not layers:
             raise ShapeError("model needs at least one layer")
-        if not 0 <= self.split_index <= len(self.layers):
+        if not 0 <= split_index <= len(layers):
             raise ParameterError(
-                f"split_index {self.split_index} out of range for {len(self.layers)} layers"
+                f"split_index {split_index} out of range for {len(layers)} layers"
             )
         width = None
-        for i, layer in enumerate(self.layers):
+        for i, layer in enumerate(layers):
             if isinstance(layer, DenseLayer):
                 if width is not None and layer.in_dim != width:
                     raise ShapeError(
                         f"layer {i} expects input width {layer.in_dim}, got {width}"
                     )
                 width = layer.out_dim
-        last = self.layers[-1]
+        last = layers[-1]
         if not isinstance(last, DenseLayer):
             raise ShapeError("final layer must be dense (it produces the logits)")
-        if last.out_dim != self.num_classes:
+        if last.out_dim != num_classes:
             raise ShapeError(
-                f"final layer width {last.out_dim} != num_classes {self.num_classes}"
+                f"final layer width {last.out_dim} != num_classes {num_classes}"
             )
+        self.split_index, self.num_classes = split_index, num_classes
+        size = sum(l.weights.size + l.bias.size for l in layers if isinstance(l, DenseLayer))
+        self._lay_out(np.empty(size), layers)
+        for mine, given in zip(self.layers, layers):
+            if isinstance(mine, DenseLayer):
+                mine.weights[...] = given.weights
+                mine.bias[...] = given.bias
+
+    def _lay_out(self, params: np.ndarray, layers: Sequence[Layer]) -> None:
+        """Make `params` this model's storage, nothing copied or checked.
+
+        Each dense layer of `layers` is rebuilt on the next slices of
+        `params`, its weights then its bias; `_starts[i]` is where layer i's
+        slices start, and `_starts[-1]` the end.
+        """
+        self.params = params
+        laid, self._starts, at = [], [], 0
+        for layer in layers:
+            self._starts.append(at)
+            if isinstance(layer, DenseLayer):
+                bias_at = at + layer.weights.size
+                end = bias_at + layer.out_dim
+                weights = params[at:bias_at].reshape(layer.weights.shape)
+                layer = DenseLayer(weights, params[bias_at:end])
+                at = end
+            laid.append(layer)
+        self._starts.append(at)
+        self.layers = tuple(laid)
+
+    def _on(self, params: np.ndarray, layers: Sequence[Layer], split_index: int) -> "Model":
+        """A model stored in `params` (not copied), laid out like `layers`,
+        which come from this already checked model."""
+        model = object.__new__(Model)
+        model.split_index, model.num_classes = split_index, self.num_classes
+        model._lay_out(params, layers)
+        return model
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The head's parameters: the view of `params` from layer split_index on."""
+        return self.params[self._starts[self.split_index] :]
 
     @property
     def input_dim(self) -> int:
@@ -144,50 +186,26 @@ class Model:
         ]
 
     def copy(self) -> "Model":
-        return Model(
-            [layer.copy() for layer in self.layers],
-            self.split_index,
-            self.num_classes,
-        )
+        """An independent model with the same values, in one fresh vector."""
+        return self._on(self.params.copy(), self.layers, self.split_index)
 
-
-@dataclass
-class Gradients:
-    """Weight/bias gradients for trainable dense layers, keyed by layer index."""
-
-    by_layer: dict[int, tuple[np.ndarray, np.ndarray]]
-
-
-def _layer_views(flat: np.ndarray, indices: list[int], theta: list[np.ndarray]) -> dict:
-    """{layer index: (weights, bias)} as consecutive views of `flat`, shaped
-    like `theta` (get_theta's arrays of the layers at `indices`)."""
-    views, at = [], 0
-    for arr in theta:
-        views.append(flat[at : at + arr.size].reshape(arr.shape))
-        at += arr.size
-    return dict(zip(indices, zip(views[::2], views[1::2])))
+    def head(self) -> "Model":
+        """The head as a model of its own (split 0), stored in this model's
+        `theta`: writing either one's parameters writes both."""
+        return self._on(self.theta, self.layers[self.split_index :], 0)
 
 
 @dataclass
 class OptimizerState:
-    """Heavy-ball SGD state: v <- momentum * v + g, param <- param - lr * v.
+    """Heavy-ball SGD state: v <- momentum * v + g, theta <- theta - lr * v.
 
-    `bind` ties the state to one model; from then on the head's parameters
-    live in `params`, and `grad` and `flat_velocity` are laid out alike. Each
-    is one float64 vector; `gradients` and `velocity` hold their per-layer
-    views, keyed by layer index.
+    `velocity` is laid out like the head's `theta`; the first step makes it,
+    as zeros.
     """
 
     learning_rate: float
     momentum: float = 0.0
-    velocity: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, init=False)
-    model: Optional[Model] = field(default=None, init=False, repr=False)
-    params: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    grad: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    flat_velocity: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    gradients: Optional[Gradients] = field(default=None, init=False, repr=False)
-    _split: int = field(default=0, init=False, repr=False)
-    _param_views: dict = field(default_factory=dict, init=False, repr=False)
+    velocity: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # 0 is allowed so a step can accumulate velocity without moving
@@ -197,41 +215,6 @@ class OptimizerState:
             )
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-
-    def bind(self, model: Model) -> None:
-        """Make the flat buffers the storage of `model`'s head, once.
-
-        The first call copies the head's current values into `params`,
-        re-points the layers at their views and zeroes the velocity. Later
-        calls check that the state still trains this model: same split, and
-        each head layer still holds its view. A ParameterError otherwise,
-        since a step would then move parameters no layer reads.
-        """
-        if self.model is not None:
-            if (
-                model is self.model
-                and model.split_index == self._split
-                and all(
-                    model.layers[i].weights is w and model.layers[i].bias is b
-                    for i, (w, b) in self._param_views.items()
-                )
-            ):
-                return
-            raise ParameterError(
-                "optimizer state is bound to another model, or its layers were replaced"
-            )
-        indices = model.trainable_layer_indices()
-        theta = get_theta(model)
-        size = sum(arr.size for arr in theta)
-        self.params, self.grad, self.flat_velocity = np.empty(size), np.empty(size), np.zeros(size)
-        self._param_views = _layer_views(self.params, indices, theta)
-        for i, (weights, bias) in self._param_views.items():
-            layer = model.layers[i]
-            weights[...], bias[...] = layer.weights, layer.bias
-            layer.weights, layer.bias = weights, bias
-        self.gradients = Gradients(_layer_views(self.grad, indices, theta))
-        self.velocity = _layer_views(self.flat_velocity, indices, theta)
-        self.model, self._split = model, model.split_index
 
 
 def _as_batch(model: Model, batch: np.ndarray) -> np.ndarray:
@@ -305,9 +288,13 @@ def softmax_with_temperature(logits: np.ndarray, rho: float) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
         raise ParameterError("logits must be finite")
-    scaled = z / rho
-    scaled = scaled - scaled.max(axis=-1, keepdims=True)
-    exp = np.exp(scaled)
+    return _softmax(z / rho)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of finite float64 logits, in a fresh array (no checks)."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
@@ -342,14 +329,14 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(
-    model: Model, batch: np.ndarray, labels: np.ndarray, out: Optional[Gradients] = None
-) -> Gradients:
-    """Exact gradients of the mean cross-entropy w.r.t. head parameters.
+    model: Model, batch: np.ndarray, labels: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Exact gradient of the mean cross-entropy w.r.t. the head parameters.
 
     Runs its own forward pass over the batch, so the result depends only on
-    the arguments. Frozen layers receive no gradients. The gradients go into
-    fresh arrays, or with `out` (the `gradients` of an OptimizerState bound
-    to this model) into out's arrays, and out is returned.
+    the arguments. Frozen layers receive no gradient. The gradient is one
+    vector laid out like `model.theta`, fresh or written into `out`, which
+    is then returned.
     """
     batch = np.asarray(batch, dtype=np.float64)
     logits, activations = forward(model, batch)
@@ -360,90 +347,63 @@ def backward(
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} != ({n},)")
     _check_labels(labels, model.num_classes, "num_classes")
+    starts = model._starts
+    base = starts[model.split_index]
+    grad = np.empty(starts[-1] - base) if out is None else out
+    if grad.shape != (starts[-1] - base,):
+        raise ShapeError(f"out has shape {grad.shape}, the head {starts[-1] - base} values")
 
-    # the softmax output is this call's own array, so delta takes it over
-    delta = softmax_with_temperature(logits, 1.0)
+    # forward has checked the logits, and the softmax output is this call's
+    # own array, so delta takes it over
+    delta = _softmax(logits)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 
-    grads = {} if out is None else out.by_layer
     for i in range(len(model.layers) - 1, model.split_index - 1, -1):
         layer = model.layers[i]
         if isinstance(layer, DenseLayer):
-            if out is None:
-                grads[i] = (np.empty_like(layer.weights), np.empty_like(layer.bias))
-            dw, db = grads[i]
+            at, end = starts[i] - base, starts[i + 1] - base
+            bias_at = end - layer.out_dim
+            dw = grad[at:bias_at].reshape(layer.weights.shape)
             np.matmul(delta.T, batch if i == 0 else activations[i - 1], out=dw)
-            delta.sum(axis=0, out=db)
+            delta.sum(axis=0, out=grad[bias_at:end])
             if i > model.split_index:
                 delta = delta @ layer.weights
         else:
             delta *= activations[i] > 0.0
-    return Gradients(by_layer=grads) if out is None else out
+    return grad
 
 
-def _copy_gradients(grads: Gradients, into: Gradients) -> None:
-    """Check `grads` against the bound head's layers and copy it into `into`."""
-    for idx in sorted(grads.by_layer):
-        if idx not in into.by_layer:
-            raise ShapeError(f"gradient for non-trainable layer {idx}")
-    for idx, (dw, db) in into.by_layer.items():
-        if idx not in grads.by_layer:
-            raise ShapeError(f"no gradient for trainable layer {idx}")
-        gw, gb = grads.by_layer[idx]
-        if gw.shape != dw.shape or gb.shape != db.shape:
-            raise ShapeError(f"gradient shapes do not match layer {idx}")
-        dw[...] = gw
-        db[...] = gb
-
-
-def sgd_step(model: Model, grads: Gradients, opt: OptimizerState) -> None:
+def sgd_step(model: Model, grad: np.ndarray, opt: OptimizerState) -> None:
     """Apply one heavy-ball SGD step to the head parameters, in place.
 
-    Binds `opt` to the model (OptimizerState.bind). Gradients other than
-    `opt.gradients`, as from a plain `backward`, must cover exactly the head
-    and are copied into it. Nothing moves unless the whole gradient is
-    finite; the velocity is updated even when the learning rate is zero.
+    `grad` is laid out like `model.theta`, as `backward` writes it. Nothing
+    moves unless the whole gradient is finite; the velocity is updated even
+    when the learning rate is zero. The step then uses `grad` as scratch
+    space and leaves lr * v in it, so it makes no temporary vector the size
+    of the head.
     """
-    opt.bind(model)
-    if grads is not opt.gradients:
-        _copy_gradients(grads, opt.gradients)
-    if not np.isfinite(opt.grad).all():
-        by_layer = opt.gradients.by_layer
-        bad = next(i for i, pair in by_layer.items() if not all(np.isfinite(a).all() for a in pair))
+    theta = model.theta
+    if opt.velocity is None:
+        opt.velocity = np.zeros(theta.shape)
+    velocity = opt.velocity
+    if not grad.shape == velocity.shape == theta.shape:
+        raise ShapeError(
+            f"gradient {grad.shape} and velocity {velocity.shape} must match "
+            f"the head's {theta.shape}"
+        )
+    if not np.isfinite(grad).all():
+        base = model._starts[model.split_index]
+        bad = next(
+            i
+            for i in model.trainable_layer_indices()
+            if not np.isfinite(grad[model._starts[i] - base : model._starts[i + 1] - base]).all()
+        )
         raise NumericError(f"non-finite gradient at layer {bad}")
-    velocity = opt.flat_velocity
     velocity *= opt.momentum
-    velocity += opt.grad
-    opt.params -= opt.learning_rate * velocity
-
-
-def get_theta(model: Model) -> list[np.ndarray]:
-    """References to each head dense layer's weights then bias, in layer order."""
-    theta = []
-    for i in model.trainable_layer_indices():
-        layer = model.layers[i]
-        theta.extend([layer.weights, layer.bias])
-    return theta
-
-
-def copy_theta(model: Model) -> list[np.ndarray]:
-    return [arr.copy() for arr in get_theta(model)]
-
-
-def set_theta(model: Model, values: list[np.ndarray]) -> None:
-    """Copy new values into the head parameters."""
-    target = get_theta(model)
-    if len(values) != len(target):
-        raise ShapeError(f"expected {len(target)} parameter arrays, got {len(values)}")
-    for dst, src in zip(target, values):
-        if dst.shape != src.shape:
-            raise ShapeError(f"parameter shape {src.shape} != expected {dst.shape}")
-        np.copyto(dst, src)
-
-
-def theta_param_count(model: Model) -> int:
-    return sum(arr.size for arr in get_theta(model))
+    velocity += grad
+    np.multiply(velocity, opt.learning_rate, out=grad)
+    theta -= grad
 
 
 def forward_flops_per_sample(model: Model) -> int:
@@ -557,7 +517,7 @@ def load_model(path) -> Model:
         values = np.frombuffer(take(8 * count, what), dtype="<f8")
         if not np.isfinite(values).all():
             raise FormatError(f"non-finite {what}", start)
-        return values.copy()
+        return values  # read-only; Model copies it into its own vector
 
     magic = take(len(CHECKPOINT_MAGIC), "magic")
     if magic != CHECKPOINT_MAGIC:

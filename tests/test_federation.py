@@ -97,6 +97,14 @@ def test_config_rejects_bad_values():
             small_config(**overrides).validate()
 
 
+@pytest.mark.parametrize("key", ["learning_rate", "prox_mu", "rho"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_config_rejects_a_non_finite_rate(key, value):
+    # the CLI's parser blocks these values, but API callers do not pass it
+    with pytest.raises(ConfigError, match=key):
+        small_config(**{key: value}).validate()
+
+
 def test_config_effective_fields():
     assert small_config(strategy="fedavg", split_index=4).effective_split_index == 0
     assert small_config(strategy="fedprox", split_index=4).effective_split_index == 0
@@ -175,15 +183,15 @@ def test_evaluation_holds_one_layer_output_at_a_time():
 def test_local_update_zero_learning_rate_keeps_theta():
     source, train, _, parts = small_setup()
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=6)
-    before = nn.copy_theta(model)
+    before = model.theta.copy()
     subset = train.subset(parts[0].sample_indices)
     opt = nn.OptimizerState(learning_rate=0.0, momentum=0.5)
     update = client_local_update(0, model, subset, 3, opt, 16, [1, 2, 3])
-    for a, b in zip(before, update.theta):
-        assert np.array_equal(a, b)
+    (uploaded,) = update.theta
+    assert np.array_equal(before, uploaded)
 
 
-def test_local_update_single_sample_single_step():
+def test_local_update_single_sample_single_step(head_views):
     _, train, _, _ = small_setup()
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=8)
     subset = train.subset(np.array([3]))
@@ -194,24 +202,63 @@ def test_local_update_single_sample_single_step():
             reference.layers[idx].weights - 0.1 * dw,
             reference.layers[idx].bias - 0.1 * db,
         )
-        for idx, (dw, db) in grads.by_layer.items()
+        for idx, (dw, db) in head_views(reference, grads).items()
     }
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.0)
-    client_local_update(0, model, subset, 1, opt, 16, [4])
+    update = client_local_update(0, model, subset, 1, opt, 16, [4])
+    trained = head_views(model, update.theta[0])
     for idx, (w_exp, b_exp) in expected.items():
-        assert np.array_equal(model.layers[idx].weights, w_exp)
-        assert np.array_equal(model.layers[idx].bias, b_exp)
+        assert np.array_equal(trained[idx][0], w_exp)
+        assert np.array_equal(trained[idx][1], b_exp)
 
 
-def test_local_update_keeps_frozen_part_bitwise():
+def test_local_update_keeps_frozen_part_bitwise(monkeypatch):
+    # the client's copy trains its head alone; the model it was given stays
     _, train, _, parts = small_setup()
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=9)
     frozen = [(model.layers[0].weights.copy(), model.layers[0].bias.copy())]
+    given = model.params.copy()
+    trained = []
+    run_epochs = federation._run_epochs
+
+    def spy(client, *args):
+        trained.append(client)
+        run_epochs(client, *args)
+
+    monkeypatch.setattr(federation, "_run_epochs", spy)
     subset = train.subset(parts[1].sample_indices)
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
-    client_local_update(1, model, subset, 4, opt, 8, [10, 11, 12, 13])
-    assert np.array_equal(model.layers[0].weights, frozen[0][0])
-    assert np.array_equal(model.layers[0].bias, frozen[0][1])
+    update = client_local_update(1, model, subset, 4, opt, 8, [10, 11, 12, 13])
+    (client,) = trained
+    assert np.array_equal(client.layers[0].weights, frozen[0][0])
+    assert np.array_equal(client.layers[0].bias, frozen[0][1])
+    assert np.shares_memory(update.theta[0], client.params)
+    assert not np.array_equal(client.theta, model.theta)
+    assert np.array_equal(model.params, given)
+
+
+@pytest.mark.parametrize("prox_mu, vectors", [(0.0, 3), (0.01, 4)])
+def test_a_local_update_holds_few_head_sized_vectors(prox_mu, vectors):
+    # A 500-500-10 head on 4-row batches, so that only the head's vectors
+    # count: the client's copy (the upload), the gradient and the velocity,
+    # and with FedProx the pull mu * (theta - theta_t).
+    head = nn.build_mlp(500, (500,), 10, split_index=0, seed=26)
+    rng = np.random.default_rng(26)
+    subset = data.Dataset(rng.normal(size=(8, 500)), rng.integers(0, 10, 8), 10)
+    opt = nn.OptimizerState(0.1, 0.5)
+    head_bytes = sum(l.weights.nbytes + l.bias.nbytes for l in head.layers if l.kind == "dense")
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        if prox_mu == 0.0:
+            update = client_local_update(0, head, subset, 2, opt, 4, [5, 6])
+        else:
+            update = fedprox_local_update(0, head, subset, 2, opt, prox_mu, 4, [5, 6])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= (vectors + 0.25) * head_bytes
+    assert update.theta[0].nbytes == head_bytes
 
 
 def test_local_update_reports_selected_count_and_time():
@@ -256,16 +303,17 @@ def test_fedprox_first_step_equals_plain_sgd():
         assert np.array_equal(a, b)
 
 
-def test_fedprox_applies_proximal_pull_on_later_steps():
+def test_fedprox_applies_proximal_pull_on_later_steps(head_views):
     # two batches in one epoch: the second step must see g + mu * (theta - theta_t)
     _, train, _, _ = small_setup()
     subset = train.subset(np.arange(16))
     mu, lr = 1.0, 0.1
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=14)
     reference = model.copy()
-    fedprox_local_update(
+    update = fedprox_local_update(
         0, model, subset, 1, nn.OptimizerState(lr, 0.0), mu, 8, [31]
     )
+    trained = head_views(model, update.theta[0])
 
     # manual replay with nn primitives
     replay = reference.copy()
@@ -278,25 +326,24 @@ def test_fedprox_applies_proximal_pull_on_later_steps():
         chosen = order[start : start + 8]
         xb, yb = subset.features[chosen], subset.labels[chosen]
         grads = nn.backward(replay, xb, yb)
-        for idx, (dw, db) in grads.by_layer.items():
+        for idx, (dw, db) in head_views(replay, grads).items():
             layer = replay.layers[idx]
             ref_w, ref_b = theta_ref[idx]
-            layer.weights = layer.weights - lr * (dw + mu * (layer.weights - ref_w))
-            layer.bias = layer.bias - lr * (db + mu * (layer.bias - ref_b))
+            layer.weights[...] = layer.weights - lr * (dw + mu * (layer.weights - ref_w))
+            layer.bias[...] = layer.bias - lr * (db + mu * (layer.bias - ref_b))
     for idx in replay.trainable_layer_indices():
-        assert np.allclose(model.layers[idx].weights, replay.layers[idx].weights, atol=1e-15)
-        assert np.allclose(model.layers[idx].bias, replay.layers[idx].bias, atol=1e-15)
+        assert np.allclose(trained[idx][0], replay.layers[idx].weights, atol=1e-15)
+        assert np.allclose(trained[idx][1], replay.layers[idx].bias, atol=1e-15)
 
 
 def test_fedprox_with_too_few_epoch_seeds_fails_before_training():
     _, train, _, parts = small_setup()
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=15)
-    before = nn.copy_theta(model)
+    before = model.theta.copy()
     subset = train.subset(parts[0].sample_indices)
     with pytest.raises(ParameterError, match="epoch seeds"):
         fedprox_local_update(0, model, subset, 3, nn.OptimizerState(0.1, 0.5), 0.01, 8, [1, 2])
-    for a, b in zip(before, nn.copy_theta(model)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(before, model.theta)
 
 
 def reference_training(model, features, labels, epochs, lr, momentum, batch_size, seeds, mu):
@@ -377,6 +424,7 @@ def training_cases(draw):
 
 
 def assert_trained_like(model, velocity, expected, expected_velocity):
+    """`model` holds `expected`; `velocity`, per head layer, the expected one."""
     for i, (weights, bias) in expected.items():
         assert np.array_equal(model.layers[i].weights, weights)
         assert np.array_equal(model.layers[i].bias, bias)
@@ -387,7 +435,7 @@ def assert_trained_like(model, velocity, expected, expected_velocity):
 
 @settings(max_examples=60)
 @given(training_cases())
-def test_local_update_and_pretrain_equal_the_per_layer_formulas(case):
+def test_local_update_and_pretrain_equal_the_per_layer_formulas(head_views, case):
     model, dataset, epochs = case["model"], case["dataset"], case["epochs"]
     lr, momentum, batch_size = case["lr"], case["momentum"], case["batch_size"]
     seeds = [case["seed"] + epoch for epoch in range(epochs)]
@@ -395,15 +443,18 @@ def test_local_update_and_pretrain_equal_the_per_layer_formulas(case):
         model, dataset.features, dataset.labels, epochs, lr, momentum, batch_size, seeds,
         case["mu"],
     )
-    trained = model.copy()
+    given = model.params.copy()
     opt = nn.OptimizerState(lr, momentum)
     update = federation._local_update(
-        0, trained, dataset, epochs, opt, case["mu"], batch_size, seeds
+        0, model, dataset, epochs, opt, case["mu"], batch_size, seeds
     )
-    assert_trained_like(trained, opt.velocity, expected, expected_velocity)
+    assert np.array_equal(model.params, given)
+    trained = model.copy()
+    np.copyto(trained.theta, update.theta[0])
+    assert_trained_like(trained, head_views(model, opt.velocity), expected, expected_velocity)
     head = [a for i in sorted(expected_velocity) for a in expected[i]]
-    assert len(update.theta) == len(head)
-    assert all(np.array_equal(a, b) for a, b in zip(update.theta, head))
+    assert len(update.theta) == 1
+    assert np.array_equal(update.theta[0], np.concatenate([a.ravel() for a in head]))
 
     # pretrain trains every layer with its own seed schedule and no pull
     pretrain_seeds = [derive_seed(case["seed"], epoch) for epoch in range(epochs)]
@@ -425,7 +476,7 @@ def test_local_update_and_pretrain_equal_the_per_layer_formulas(case):
         out = pretrain(model, dataset, epochs, lr, momentum, batch_size, seed=case["seed"])
     assert out.split_index == model.split_index
     assert len({id(o) for o in used}) == 1
-    assert_trained_like(out, used[0].velocity, expected, expected_velocity)
+    assert_trained_like(out, head_views(whole, used[0].velocity), expected, expected_velocity)
 
 
 @pytest.mark.parametrize("prox_mu", [0.0, 0.01])
@@ -923,6 +974,27 @@ def test_frozen_layers_stay_the_pretrained_ones_with_the_cache():
     assert not np.array_equal(hooked[0].layers[head].weights, hooked[1].layers[head].weights)
 
 
+def test_pretrain_and_the_client_copies_are_laid_out_in_one_vector(monkeypatch, assert_laid_out):
+    source, train, test, parts = small_setup()
+    config = small_config(strategy="fedft_eds", rounds=1)
+    start = initial_model(config, source, train)
+    assert_laid_out(start)
+    trained, step = {}, nn.sgd_step
+
+    def spy(model, grad, opt):
+        trained[id(model)] = model
+        return step(model, grad, opt)
+
+    monkeypatch.setattr(nn, "sgd_step", spy)
+    run_federation(config, start, train, parts, test)
+    assert len(trained) == config.num_clients
+    for client in trained.values():
+        assert client.split_index == 0
+        assert client.params.size == client.theta.size == start.theta.size
+        assert not np.shares_memory(client.params, start.params)
+        assert_laid_out(client)
+
+
 def _uncached_rounds(config, source, train, parts, test):
     """The round loop replayed on the full model and the raw features, from
     the public primitives; every client takes part and selects at random."""
@@ -954,7 +1026,8 @@ def _uncached_rounds(config, source, train, parts, test):
             train_cost = nn.forward_flops_per_sample(model) + nn.backward_flops_per_sample(model)
             cumulative += 0.0 + config.local_epochs * len(subset) * train_cost * SECONDS_PER_FLOP
             updates.append(update)
-        nn.set_theta(model, aggregate(updates))
+        (aggregate_theta,) = aggregate(updates)
+        np.copyto(model.theta, aggregate_theta)
         rows.append((*evaluate_model(model, test), cumulative))
     return rows, model
 

@@ -1,5 +1,6 @@
 """Numerics: forward, tempered softmax, cross-entropy, backprop, SGD, IO."""
 
+import dataclasses
 import math
 import struct
 
@@ -264,13 +265,13 @@ def finite_difference(model, batch, labels, layer_idx, param, index, h=1e-5):
     return (plus - minus) / (2.0 * h)
 
 
-def test_backward_matches_finite_differences_everywhere():
+def test_backward_matches_finite_differences_everywhere(head_views):
     model = make_model(split_index=0, seed=5)
     rng = np.random.default_rng(9)
     batch = rng.normal(size=(7, 5))
     labels = rng.integers(0, 4, size=7)
     grads = nn.backward(model, batch, labels)
-    for layer_idx, (dw, db) in grads.by_layer.items():
+    for layer_idx, (dw, db) in head_views(model, grads).items():
         for param, grad in (("weights", dw), ("bias", db)):
             for index in np.ndindex(grad.shape):
                 fd = finite_difference(model, batch, labels, layer_idx, param, index)
@@ -279,7 +280,7 @@ def test_backward_matches_finite_differences_everywhere():
                 assert rel < 1e-5, f"layer {layer_idx} {param}{index}: {g} vs {fd}"
 
 
-def test_backward_stationary_at_confident_minimum():
+def test_backward_stationary_at_confident_minimum(head_views):
     # huge bias on the true class makes the softmax numerically one-hot
     model = nn.Model(
         [nn.DenseLayer(np.zeros((3, 2)), np.array([100.0, 0.0, 0.0]))],
@@ -289,36 +290,36 @@ def test_backward_stationary_at_confident_minimum():
     batch = np.random.default_rng(2).normal(size=(5, 2))
     labels = np.zeros(5, dtype=np.int64)
     grads = nn.backward(model, batch, labels)
-    for dw, db in grads.by_layer.values():
+    for dw, db in head_views(model, grads).values():
         assert np.abs(dw).max() < 1e-6 and np.abs(db).max() < 1e-6
 
 
-def test_backward_mean_invariance_under_duplication():
+def test_backward_mean_invariance_under_duplication(head_views):
     model = make_model(split_index=0, seed=3)
     rng = np.random.default_rng(4)
     batch = rng.normal(size=(6, 5))
     labels = rng.integers(0, 4, size=6)
-    single = nn.backward(model, batch, labels)
+    single = head_views(model, nn.backward(model, batch, labels))
     doubled_batch = np.concatenate([batch, batch])
     doubled_labels = np.concatenate([labels, labels])
-    doubled = nn.backward(model, doubled_batch, doubled_labels)
-    for idx in single.by_layer:
-        assert np.abs(single.by_layer[idx][0] - doubled.by_layer[idx][0]).max() < 1e-12
-        assert np.abs(single.by_layer[idx][1] - doubled.by_layer[idx][1]).max() < 1e-12
+    doubled = head_views(model, nn.backward(model, doubled_batch, doubled_labels))
+    for idx in single:
+        assert np.abs(single[idx][0] - doubled[idx][0]).max() < 1e-12
+        assert np.abs(single[idx][1] - doubled[idx][1]).max() < 1e-12
 
 
-def test_backward_does_not_depend_on_an_earlier_forward():
+def test_backward_does_not_depend_on_an_earlier_forward(head_views):
     model = make_model(split_index=0, seed=7)
     rng = np.random.default_rng(10)
     batch = rng.normal(size=(5, 5))
     labels = rng.integers(0, 4, size=5)
-    alone = nn.backward(model, batch, labels)
+    alone = head_views(model, nn.backward(model, batch, labels))
     nn.forward(model, rng.normal(size=(3, 5)))
-    after_other = nn.backward(model, batch, labels)
-    assert sorted(alone.by_layer) == sorted(after_other.by_layer)
-    for idx, (dw, db) in alone.by_layer.items():
-        assert np.array_equal(dw, after_other.by_layer[idx][0])
-        assert np.array_equal(db, after_other.by_layer[idx][1])
+    after_other = head_views(model, nn.backward(model, batch, labels))
+    assert sorted(alone) == sorted(after_other)
+    for idx, (dw, db) in alone.items():
+        assert np.array_equal(dw, after_other[idx][0])
+        assert np.array_equal(db, after_other[idx][1])
 
 
 @pytest.mark.parametrize("labels", [np.array([0.5, 1.0]), np.array([0.0, 1.0]), np.array([True, False])])
@@ -333,7 +334,8 @@ def test_backward_only_touches_head_layers():
     batch = np.random.default_rng(8).normal(size=(4, 5))
     labels = np.array([0, 1, 2, 3])
     grads = nn.backward(model, batch, labels)
-    assert sorted(grads.by_layer) == [2]
+    head = model.layers[2]
+    assert grads.shape == (head.weights.size + head.bias.size,)
 
 
 # --- sgd ---------------------------------------------------------------------
@@ -346,7 +348,8 @@ def scalar_model(weight=1.0):
 
 
 def scalar_grad(g):
-    return nn.Gradients({0: (np.array([[g]]), np.array([0.0]))})
+    """The flat gradient of scalar_model: its one weight, then its bias."""
+    return np.array([g, 0.0])
 
 
 def test_sgd_plain_step():
@@ -361,9 +364,9 @@ def test_sgd_momentum_two_steps():
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
     nn.sgd_step(model, scalar_grad(1.0), opt)
     assert model.layers[0].weights[0, 0] == pytest.approx(0.9, abs=1e-15)
-    assert opt.velocity[0][0][0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert opt.velocity[0] == pytest.approx(1.0, abs=1e-15)
     nn.sgd_step(model, scalar_grad(1.0), opt)
-    assert opt.velocity[0][0][0, 0] == pytest.approx(1.5, abs=1e-15)
+    assert opt.velocity[0] == pytest.approx(1.5, abs=1e-15)
     assert model.layers[0].weights[0, 0] == pytest.approx(0.75, abs=1e-15)
 
 
@@ -373,7 +376,7 @@ def test_sgd_zero_learning_rate_accumulates_velocity():
     nn.sgd_step(model, scalar_grad(1.0), opt)
     nn.sgd_step(model, scalar_grad(1.0), opt)
     assert model.layers[0].weights[0, 0] == 1.0
-    assert opt.velocity[0][0][0, 0] == pytest.approx(1.5, abs=1e-15)
+    assert opt.velocity[0] == pytest.approx(1.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
@@ -390,73 +393,62 @@ def test_sgd_rejects_nonfinite_gradient():
 
 
 @pytest.mark.parametrize(
-    "message, by_layer",
-    [
-        ("non-trainable layer 0", {0: (np.zeros((8, 5)), np.zeros(8)), 2: (np.zeros((4, 8)), np.zeros(4))}),
-        ("do not match layer 2", {2: (np.zeros((4, 7)), np.zeros(4))}),
-    ],
+    "size",
+    [8 * 5 + 8 + 36, 4 * 7 + 4, 0, 35],
+    ids=["with a frozen layer", "a narrower layer", "no layer", "one short"],
 )
-def test_sgd_rejects_a_gradient_that_does_not_fit_the_head(message, by_layer):
+def test_sgd_rejects_a_gradient_of_the_wrong_length(size):
+    # the head, dense 2, has 4 * 8 + 4 = 36 values
     model = make_model(split_index=2, seed=21)  # dense, relu, dense
-    before = nn.copy_theta(model)
-    with pytest.raises(ShapeError, match=message):
-        nn.sgd_step(model, nn.Gradients(by_layer), nn.OptimizerState(0.1))
-    assert all(np.array_equal(a, b) for a, b in zip(before, nn.copy_theta(model)))
+    before = model.params.copy()
+    with pytest.raises(ShapeError, match="must match the head"):
+        nn.sgd_step(model, np.zeros(size), nn.OptimizerState(0.1))
+    assert bitwise_equal(model.params, before)
 
 
-def test_sgd_rejects_a_gradient_that_misses_a_head_layer():
-    model = make_model(split_index=0, seed=21)
-    grads = nn.backward(model, np.ones((2, 5)), np.array([0, 1]))
-    del grads.by_layer[0]
-    with pytest.raises(ShapeError, match="no gradient for trainable layer 0"):
-        nn.sgd_step(model, grads, nn.OptimizerState(0.1))
+def test_a_layer_cannot_be_pointed_off_the_model_vector():
+    model = make_model(split_index=0, seed=24)
+    layer = model.layers[2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.bias = layer.bias.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.weights = np.zeros_like(layer.weights)
+    with pytest.raises(TypeError):
+        model.layers[2] = nn.DenseLayer(layer.weights.copy(), layer.bias.copy())
+    assert np.shares_memory(model.layers[2].bias, model.params)
 
 
-def test_a_non_finite_gradient_moves_no_parameter():
+def test_a_non_finite_gradient_moves_no_parameter(head_views):
     # the one finite check covers the whole head before any layer moves
     model = make_model(split_index=0, seed=22)  # dense 0, relu, dense 2
     rng = np.random.default_rng(22)
     grads = nn.backward(model, rng.normal(size=(4, 5)), np.array([0, 1, 2, 3]))
-    grads.by_layer[2][1][0] = np.inf
-    before = nn.copy_theta(model)
+    head_views(model, grads)[2][1][0] = np.inf
+    before = model.theta.copy()
     opt = nn.OptimizerState(0.1, 0.5)
     with pytest.raises(NumericError, match="layer 2"):
         nn.sgd_step(model, grads, opt)
-    assert all(np.array_equal(a, b) for a, b in zip(before, nn.copy_theta(model)))
-    assert not opt.flat_velocity.any()
+    assert bitwise_equal(model.theta, before)
+    assert not opt.velocity.any()
 
 
-def test_training_keeps_the_head_in_one_flat_vector_per_buffer():
+def test_training_keeps_the_head_in_one_flat_vector_per_buffer(head_views):
     model = make_model(split_index=2, seed=23, hidden=(6, 5))  # head: dense 2, relu, dense 4
     rng = np.random.default_rng(23)
     batch, labels = rng.normal(size=(6, 5)), rng.integers(0, 4, 6)
     opt = nn.OptimizerState(0.1, 0.5)
-    opt.bind(model)
-    frozen = model.layers[0].weights
+    grad = np.empty_like(model.theta)
+    params = model.params
     for _ in range(3):
-        nn.sgd_step(model, nn.backward(model, batch, labels, out=opt.gradients), opt)
-    theta = nn.get_theta(model)
-    assert bitwise_equal(opt.params, np.concatenate([a.ravel() for a in theta]))
-    for flat, arrays in (
-        (opt.params, theta),
-        (opt.grad, [a for i in (2, 4) for a in opt.gradients.by_layer[i]]),
-        (opt.flat_velocity, [a for i in (2, 4) for a in opt.velocity[i]]),
-    ):
-        assert len(arrays) == 4 and all(np.shares_memory(a, flat) for a in arrays)
-    assert not np.shares_memory(frozen, opt.params)
-
-
-def test_an_optimizer_state_trains_only_the_model_it_was_bound_to():
-    model = make_model(split_index=0, seed=24)
-    other = model.copy()
-    batch, labels = np.ones((2, 5)), np.array([0, 1])
-    opt = nn.OptimizerState(0.1, 0.5)
-    nn.sgd_step(model, nn.backward(model, batch, labels), opt)
-    with pytest.raises(ParameterError, match="bound to another model"):
-        nn.sgd_step(other, nn.backward(other, batch, labels), opt)
-    model.layers[2].bias = model.layers[2].bias.copy()
-    with pytest.raises(ParameterError, match="layers were replaced"):
-        nn.sgd_step(model, nn.backward(model, batch, labels), opt)
+        assert nn.backward(model, batch, labels, out=grad) is grad
+        nn.sgd_step(model, grad, opt)
+    assert model.params is params and opt.velocity.shape == model.theta.shape
+    head = [a for i in (2, 4) for a in (model.layers[i].weights, model.layers[i].bias)]
+    assert bitwise_equal(model.theta, np.concatenate([a.ravel() for a in head]))
+    assert all(np.shares_memory(a, model.theta) for a in head)
+    assert not np.shares_memory(model.layers[0].weights, model.theta)
+    with pytest.raises(ShapeError, match="out has shape"):
+        nn.backward(model, batch, labels, out=np.empty(model.theta.size - 1))
 
 
 def test_sgd_keeps_frozen_layers_bitwise_identical():
@@ -472,7 +464,7 @@ def test_sgd_keeps_frozen_layers_bitwise_identical():
     assert np.array_equal(model.layers[0].bias, frozen_before[1])
 
 
-# --- get_theta ----------------------------------------------------------------
+# --- theta ----------------------------------------------------------------------
 
 
 def dense_param_sizes(layers):
@@ -482,17 +474,16 @@ def dense_param_sizes(layers):
 
 def test_split_zero_means_whole_model_trainable():
     model = make_model(split_index=0)
-    theta = nn.get_theta(model)
-    assert sum(a.size for a in theta) == dense_param_sizes(model.layers)
+    assert model.theta.size == model.params.size == dense_param_sizes(model.layers)
     dense = [l for l in model.layers if l.kind == "dense"]
     head = [a for l in dense for a in (l.weights, l.bias)]
-    assert len(theta) == len(head) and all(a is b for a, b in zip(theta, head))
+    assert bitwise_equal(model.theta, np.concatenate([a.ravel() for a in head]))
+    assert all(np.shares_memory(a, model.theta) for a in head)
 
 
 def test_split_at_end_means_empty_head():
     model = make_model(split_index=3)  # 3 layers: dense, relu, dense
-    assert nn.get_theta(model) == []
-    assert nn.theta_param_count(model) == 0
+    assert model.theta.size == 0
 
 
 def test_split_partition_counts():
@@ -503,12 +494,40 @@ def test_split_partition_counts():
         nn.DenseLayer(np.zeros((2, 4)), np.zeros(2)),
     ]
     model = nn.Model(layers, split_index=2, num_classes=2)
-    theta = nn.get_theta(model)
-    head = [layers[2].weights, layers[2].bias, layers[3].weights, layers[3].bias]
-    assert len(theta) == len(head) and all(a is b for a, b in zip(theta, head))
+    head = [a for l in model.layers[2:] for a in (l.weights, l.bias)]
+    assert bitwise_equal(model.theta, np.concatenate([a.ravel() for a in head]))
+    assert all(np.shares_memory(a, model.theta) for a in head)
     assert dense_param_sizes(layers[:2]) == 16
-    assert sum(a.size for a in theta) == dense_param_sizes(layers[2:]) == 20 + 10
-    assert nn.theta_param_count(model) == 30
+    assert model.theta.size == dense_param_sizes(layers[2:]) == 20 + 10
+
+
+@pytest.mark.parametrize("path", ["build_mlp", "Model", "load_model", "copy"])
+def test_every_model_is_laid_out_in_one_vector(tmp_path, assert_laid_out, path):
+    model = make_model(split_index=2, seed=25, hidden=(6, 5))
+    if path == "Model":
+        model = nn.Model(model.layers, model.split_index, model.num_classes)
+    elif path == "load_model":
+        nn.save_model(model, tmp_path / "model.ckpt")
+        model = nn.load_model(tmp_path / "model.ckpt")
+    elif path == "copy":
+        copy = model.copy()
+        assert not np.shares_memory(copy.params, model.params)
+        assert bitwise_equal(copy.params, model.params)
+        model = copy
+    assert_laid_out(model)
+    model.split_index = 0  # theta follows the split
+    assert_laid_out(model)
+
+
+def test_a_models_head_is_stored_in_its_theta(assert_laid_out):
+    model = make_model(split_index=2, seed=26, hidden=(6, 5))
+    frozen = model.params[: model.params.size - model.theta.size].copy()
+    head = model.head()
+    assert head.split_index == 0 and len(head.layers) == len(model.layers) - 2
+    assert_laid_out(head)
+    head.params[...] = 7.0
+    assert (model.theta == 7.0).all()
+    assert bitwise_equal(model.params[: frozen.size], frozen)
 
 
 def test_mutating_theta_view_never_changes_phi():
@@ -516,8 +535,7 @@ def test_mutating_theta_view_never_changes_phi():
     frozen = [l for l in model.layers[: model.split_index] if l.kind == "dense"]
     assert frozen
     snapshot = [(l.weights.copy(), l.bias.copy()) for l in frozen]
-    for arr in nn.get_theta(model):
-        arr += 123.0
+    model.theta[...] += 123.0
     for layer, (weights, bias) in zip(frozen, snapshot):
         assert bitwise_equal(layer.weights, weights)
         assert bitwise_equal(layer.bias, bias)

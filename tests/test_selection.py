@@ -149,7 +149,7 @@ def test_selection_invariant_to_logit_shift():
     client = random_client(np.random.default_rng(11), len(ds), 40)
     before = selection.select_by_entropy(model, ds, client, 0.4, 0.3)
     shifted = model.copy()
-    shifted.layers[-1].bias += 17.5
+    shifted.layers[-1].bias[...] += 17.5
     after = selection.select_by_entropy(shifted, ds, client, 0.4, 0.3)
     assert np.array_equal(before.selected_indices, after.selected_indices)
 
