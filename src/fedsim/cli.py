@@ -50,6 +50,7 @@ from .federation import (
     STRATEGIES,
     FederationConfig,
     initial_model,
+    participant_count,
     read_reports_csv,
     run_federation,
     write_reports_csv,
@@ -193,8 +194,8 @@ class ExperimentConfig:
         if self.analysis["histogram_bins"] < 2:
             raise ConfigError("analysis.histogram_bins must be >= 2")
         rhos = self.analysis["histogram_rhos"]
-        if not all(r > 0.0 for r in rhos):
-            raise ConfigError("analysis.histogram_rhos must be positive")
+        if not rhos or not all(r > 0.0 for r in rhos):
+            raise ConfigError("analysis.histogram_rhos must be one or more positive temperatures")
         names = [_histogram_file_name(r) for r in rhos]
         if len(set(names)) != len(names):
             raise ConfigError(
@@ -218,8 +219,8 @@ class ExperimentConfig:
 
 def _require_cka_pair(federation: FederationConfig) -> None:
     """ConfigError unless round 1 yields at least two client models for CKA."""
-    n, f = federation.num_clients, federation.participation_fraction
-    count = min(n, max(1, round(f * n)))  # the count sample_participants draws
+    n = federation.num_clients
+    count = participant_count(n, federation.participation_fraction)
     if federation.rounds < 1 or count < 2:
         raise ConfigError(
             f"CKA needs 2 or more round-1 client models, but {federation.rounds} round(s) "
@@ -397,13 +398,16 @@ def _open_run(config: ExperimentConfig, out: Path):
     return started, out_dir, source, _prepare_run(config, source, target)
 
 
-def _round_one_capture():
-    """A client-model hook keeping each client's round-1 model, and the
-    list of (client id, model) it fills."""
+def _round_one_capture(start: nn.Model):
+    """An upload hook and the list of (client id, model) it fills: each
+    round-1 client's model, a copy of the global model `start` with the
+    client's upload as its head, built as the hook fires."""
     captured: list[tuple[int, nn.Model]] = []
 
-    def hook(round_no: int, client_id: int, model: nn.Model) -> None:
+    def hook(round_no: int, client_id: int, theta: np.ndarray) -> None:
         if round_no == 1:
+            model = start.copy()
+            np.copyto(model.theta, theta)
             captured.append((client_id, model))
 
     return captured, hook
@@ -471,7 +475,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = build_config(args)
     started, out_dir, _source, (start, train, test) = _open_run(config, args.out)
     partitions = _partition(config, train)
-    captured, capture = _round_one_capture()
+    captured, capture = _round_one_capture(start)
     outputs: dict[str, Path] = {}
     dump = nullcontext()
     if config.analysis["selection_dump"]:
@@ -485,7 +489,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             partitions,
             test,
             threads=args.threads,
-            client_model_hook=capture if config.analysis["cka"] else None,
+            upload_hook=capture if config.analysis["cka"] else None,
             selection_hook=selection_hook,
         )
 
@@ -576,7 +580,7 @@ def cmd_analyze_cka(args: argparse.Namespace) -> int:
     config = build_config(args)
     _require_cka_pair(config.federation)
     started, out_dir, _source, (start, train, test) = _open_run(config, args.out)
-    captured, capture = _round_one_capture()
+    captured, capture = _round_one_capture(start)
     run_federation(
         config.federation,
         start,
@@ -584,7 +588,7 @@ def cmd_analyze_cka(args: argparse.Namespace) -> int:
         _partition(config, train),
         test,
         threads=args.threads,
-        client_model_hook=capture,
+        upload_hook=capture,
     )
     outputs: dict[str, Path] = {}
     for matrix in _write_cka(captured, test, out_dir, outputs):

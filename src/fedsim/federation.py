@@ -146,11 +146,10 @@ class FederationConfig:
 
 @dataclass
 class ClientUpdate:
-    """One client's upload: a local update's theta is one array, the
-    trained head vector; `aggregate` takes any arrays laid out alike."""
+    """One client's upload: theta is its trained head vector."""
 
     client_id: int
-    theta: list[np.ndarray]
+    theta: np.ndarray
     selected_count: int
 
 
@@ -162,7 +161,6 @@ class RoundReport:
     test_loss: float
     cumulative_client_train_time: float
     total_selected: int = 0
-    comm_bytes: int = 0
 
 
 def _run_epochs(
@@ -279,7 +277,7 @@ def _local_update(
         client, data.features, data.labels, epochs, opt, batch_size, epoch_seeds, prox_mu,
         model.theta,
     )
-    return ClientUpdate(client_id=client_id, theta=[client.theta], selected_count=len(data))
+    return ClientUpdate(client_id=client_id, theta=client.theta, selected_count=len(data))
 
 
 def client_local_update(
@@ -324,15 +322,15 @@ class UpdateFold:
     fixed order and only the running total is held. `total` is the summed
     selected count of every update that will be added. This is the one
     aggregation path: `aggregate` adds a sorted list, the round loop each
-    update as it arrives. A local update's theta is one head vector, so each
-    add is one weighted vector sum.
+    update as it arrives. Each add is one weighted sum into one accumulator
+    shaped like the first upload, which every later upload must match.
     """
 
     def __init__(self, total: int):
         self.total = total
         self.folded = 0
         self.last_id: int | None = None
-        self.acc: list[np.ndarray] | None = None
+        self.acc: np.ndarray | None = None
 
     def add(self, update: ClientUpdate) -> None:
         if self.last_id is not None and update.client_id <= self.last_id:
@@ -343,16 +341,15 @@ class UpdateFold:
         if update.selected_count < 1:
             raise ProtocolError("every update must carry selected_count >= 1")
         if self.acc is None:
-            self.acc = [np.zeros(arr.shape) for arr in update.theta]
-        elif [arr.shape for arr in update.theta] != [acc.shape for acc in self.acc]:
+            self.acc = np.zeros(update.theta.shape)
+        elif update.theta.shape != self.acc.shape:
             raise ProtocolError(f"client {update.client_id} uploaded mismatched parameter shapes")
         weight = update.selected_count / self.total
-        for acc, arr in zip(self.acc, update.theta):
-            acc += weight * arr
+        self.acc += weight * update.theta
         self.last_id = update.client_id
         self.folded += update.selected_count
 
-    def result(self) -> list[np.ndarray]:
+    def result(self) -> np.ndarray:
         if self.acc is None:
             raise ParameterError("aggregate needs at least one client update")
         if self.folded != self.total:
@@ -362,8 +359,8 @@ class UpdateFold:
         return self.acc
 
 
-def aggregate(updates: list[ClientUpdate]) -> list[np.ndarray]:
-    """Weighted average of head parameters, weights = selected counts.
+def aggregate(updates: list[ClientUpdate]) -> np.ndarray:
+    """Weighted average of the uploaded heads, weights = selected counts.
 
     Summation runs in ascending client id order so the result is independent
     of completion order.
@@ -374,13 +371,18 @@ def aggregate(updates: list[ClientUpdate]) -> list[np.ndarray]:
     return fold.result()
 
 
+def participant_count(num_clients: int, participation_fraction: float) -> int:
+    """How many clients take part in a round: max(1, round(f_n * N)), at most N."""
+    return min(num_clients, max(1, round(participation_fraction * num_clients)))
+
+
 def sample_participants(num_clients: int, participation_fraction: float, round_seed: int) -> np.ndarray:
-    """Ascending ids of the max(1, round(f_n * N)) clients active this round."""
+    """Ascending ids of the `participant_count` clients active this round."""
     if not 0.0 < participation_fraction <= 1.0:
         raise ParameterError(
             f"participation_fraction must be in (0, 1], got {participation_fraction}"
         )
-    count = min(num_clients, max(1, round(participation_fraction * num_clients)))
+    count = participant_count(num_clients, participation_fraction)
     rng = derive_rng(round_seed)
     return np.sort(rng.choice(num_clients, size=count, replace=False))
 
@@ -416,7 +418,7 @@ def run_federation(
     partitions: list[ClientPartition],
     test: Dataset,
     threads: int = 1,
-    client_model_hook: Optional[Callable[[int, int, nn.Model], None]] = None,
+    upload_hook: Optional[Callable[[int, int, np.ndarray], None]] = None,
     selection_hook: Optional[Callable[[int, int, SelectionResult], None]] = None,
 ) -> list[RoundReport]:
     """T rounds of select/update/aggregate, training `start` in place.
@@ -432,10 +434,9 @@ def run_federation(
     into one fresh vector, trains it and uploads that vector; after the
     round one copy puts the folded sum into the global head, which is
     stored in `start.theta`. Hooks fire on the main thread in ascending
-    client order, `selection_hook` before `client_model_hook`, as each
-    client's update is folded into the global head; a round holds only the
-    client models still in flight.
-    Returns the round reports.
+    client order, `selection_hook` before `upload_hook`, as each client's
+    update is folded into the global head; `upload_hook` gets the client's
+    head vector, laid out like `start.theta`. Returns the round reports.
     """
     config.validate()
     if len(partitions) != config.num_clients:
@@ -487,9 +488,8 @@ def run_federation(
     reports: list[RoundReport] = []
 
     def client_round(round_no: int, client_id: int):
-        """Select, then train a copy of the global head on the selection.
-        Returns (selection, update, model for the hook); a NumericError
-        names the round and the client."""
+        """Select, then train a copy of the global head on the selection:
+        (selection, update). A NumericError names the round and the client."""
         try:
             part = partitions[client_id]
             if scores:
@@ -527,12 +527,7 @@ def run_federation(
                 )
         except NumericError as exc:
             raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
-        kept_model = None
-        if client_model_hook is not None:
-            # the global model's frozen part, then this client's head
-            kept_model = start.copy()
-            np.copyto(kept_model.theta, update.theta[0])
-        return chosen, update, kept_model
+        return chosen, update
 
     # No worker thread starts unless a job is submitted, i.e. threads > 1.
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -569,16 +564,15 @@ def run_federation(
                 )
             ]
             fold = UpdateFold(sum(kept_counts[c] for c in participants))
-            for chosen, update, kept_model in client_rounds(round_no, participants):
+            for chosen, update in client_rounds(round_no, participants):
                 if selection_hook is not None:
                     selection_hook(round_no, update.client_id, chosen)
-                if kept_model is not None:
-                    client_model_hook(round_no, update.client_id, kept_model)
+                if upload_hook is not None:
+                    upload_hook(round_no, update.client_id, update.theta)
                 cumulative_time += device_seconds[update.client_id]
                 fold.add(update)
 
-            (aggregate_theta,) = fold.result()
-            np.copyto(head.theta, aggregate_theta)
+            np.copyto(head.theta, fold.result())
             accuracy, loss = evaluate_model(head, test_rows)
             report = RoundReport(
                 round=round_no,
@@ -587,7 +581,6 @@ def run_federation(
                 test_loss=loss,
                 cumulative_client_train_time=cumulative_time,
                 total_selected=fold.total,
-                comm_bytes=len(participants) * 2 * head.theta.nbytes,
             )
             reports.append(report)
             log.info(
@@ -619,7 +612,7 @@ def write_reports_csv(reports: list[RoundReport], strategy: str, path) -> None:
 
 
 def read_reports_csv(path) -> list[RoundReport]:
-    """Parse a CSV written by write_reports_csv (strategy and comm_bytes are not kept).
+    """Parse a CSV written by write_reports_csv; the strategy column is not kept.
 
     A file without the report columns, or with a row that does not parse,
     raises ConfigError naming the file.

@@ -69,7 +69,7 @@ def desk_run(config, inputs, hook=None):
     start = pretrained.copy()
     start.split_index = config.federation.effective_split_index
     return run_federation(
-        config.federation, start, train, partitions, test, client_model_hook=hook
+        config.federation, start, train, partitions, test, upload_hook=hook
     )
 
 
@@ -224,10 +224,10 @@ def test_criterion_2_oracle_equivalence():
         counts = rng.integers(1, 100, size=k)
         thetas = [rng.normal(size=(3, 4)) for _ in range(k)]
         updates = [
-            ClientUpdate(client_id=i, theta=[thetas[i]], selected_count=int(counts[i]))
+            ClientUpdate(client_id=i, theta=thetas[i], selected_count=int(counts[i]))
             for i in range(k)
         ]
-        merged = aggregate(updates)[0]
+        merged = aggregate(updates)
         oracle = sum(c * t for c, t in zip(counts, thetas)) / counts.sum()
         worst_agg = max(worst_agg, float(np.abs(merged - oracle).max()))
 
@@ -362,8 +362,10 @@ def _one_round_client_models(seed, pretrain_epochs):
         pretrain_epochs=pretrain_epochs,
     )
     inputs = desk_inputs(config)
-    captured = []
-    desk_run(config, inputs, hook=lambda r, c, m: captured.append((c, m)))
+    # the CLI's capture, on the pretrained model: the run trains a copy of it
+    # and fedavg leaves no frozen part, so each upload is a whole model
+    captured, hook = cli._round_one_capture(inputs[0])
+    desk_run(config, inputs, hook=hook)
     return [m for _, m in sorted(captured, key=lambda item: item[0])], inputs[2]
 
 

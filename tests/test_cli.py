@@ -388,6 +388,46 @@ def test_analyze_cka_is_the_first_round_of_run(tmp_path, capsys):
     ]
 
 
+def test_the_cka_capture_builds_round_one_models_from_the_uploads():
+    start = nn.build_mlp(8, (12, 12), 4, split_index=4, seed=3)
+    captured, hook = cli._round_one_capture(start)
+    uploads = {(r, c): np.full(start.theta.shape, 10.0 * r + c) for r in (1, 2) for c in (0, 2)}
+    for (round_no, client_id), theta in uploads.items():
+        hook(round_no, client_id, theta)
+    assert [client_id for client_id, _ in captured] == [0, 2]
+    frozen = start.params.size - start.theta.size
+    for client_id, model in captured:
+        assert model.split_index == start.split_index
+        assert np.array_equal(model.params[:frozen], start.params[:frozen])
+        assert np.array_equal(model.theta, uploads[1, client_id])
+        assert not np.shares_memory(model.params, start.params)
+
+
+def test_cka_builds_whole_models_for_round_one_participants_only(tmp_path):
+    # a run with CKA copies one whole model more per round-1 participant than
+    # the same run without, however many rounds it runs
+    copies, copy = [], nn.Model.copy
+
+    def counting(model):
+        copies.append(model)
+        return copy(model)
+
+    made = {}
+    for cka in ("false", "true"):
+        out = tmp_path / f"cka_{cka}"
+        generate(out)
+        copies.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nn.Model, "copy", counting)
+            assert run_cli([
+                "run", "--out", out, "--seed", 5, *TINY, "--rounds", 3,
+                "--federation.participation_fraction", "0.6", "--analysis.cka", cka,
+            ]) == 0
+        made[cka] = len(copies)
+    clients = (tmp_path / "cka_true" / "cka_up.csv").read_text().splitlines()[0].split(",")
+    assert made["true"] - made["false"] == len(clients) == 3
+
+
 @pytest.mark.parametrize(
     "command",
     [["run", "--analysis.cka", "true"], ["analyze-cka"]],
@@ -457,7 +497,7 @@ def test_entropy_hist_does_not_partition_the_pool(tmp_path):
         assert (outs["5"] / name).read_bytes() == (outs["200"] / name).read_bytes()
 
 
-@pytest.mark.parametrize("rhos", ["1.0,1", "0.1,0.1000001"])
+@pytest.mark.parametrize("rhos", ["1.0,1", "0.1,0.1000001", "", ",,"])
 def test_histogram_rhos_sharing_a_file_name_are_rejected(tmp_path, capsys, rhos):
     out = tmp_path / "hist"
     generate(out)

@@ -9,6 +9,8 @@ of them the same command matrix runs at the desk preset, seeds 7 and
 - `generate`;
 - `run` with CKA, the entropy histograms and the selection dump, for all
   five strategies, at `--threads` 1 and 3;
+- a plain `run`, with no analysis and so no hook, for `fedft_eds` and
+  `fedprox` at `--threads` 3;
 - `analyze-cka` and `entropy-hist` at both thread counts;
 - `compare` over the ten runs of the seed.
 
@@ -17,7 +19,7 @@ directory, so paths printed or recorded are alike. Every file written and
 every command's stdout is then compared byte for byte; `manifest.json`
 files are compared as JSON without `started_utc` and `finished_utc`. The
 exit status is 1 if anything differs or a command fails, 0 otherwise. The
-matrix runs 32 commands per side and takes a few minutes; it is not part
+matrix runs 36 commands per side and takes a few minutes; it is not part
 of the pytest suite.
 """
 
@@ -33,6 +35,7 @@ from pathlib import Path
 
 SEEDS = (7, 424242)
 STRATEGIES = ("fedavg", "fedprox", "fedft_rds", "fedft_eds", "fedft_all")
+PLAIN_STRATEGIES = ("fedft_eds", "fedprox")
 THREADS = (1, 3)
 PRESET = ["--preset", "desk-default"]
 # runs read the datasets that the seed's `generate` wrote, one level up
@@ -59,6 +62,11 @@ def matrix() -> list[tuple[str, list[str]]]:
                     "run", *seeded, "--strategy", strategy, "--threads", str(threads),
                     "--out", out, *DATASETS, *ANALYSES,
                 ]))
+        for strategy in PLAIN_STRATEGIES:
+            out = f"{at}/plain_{strategy}_t3"
+            commands.append((f"{out}.stdout", [
+                "run", *seeded, "--strategy", strategy, "--threads", "3", "--out", out, *DATASETS,
+            ]))
         for command in ("analyze-cka", "entropy-hist"):
             for threads in THREADS:
                 out = f"{at}/{command}_t{threads}"
