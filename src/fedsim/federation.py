@@ -2,15 +2,15 @@
 
 The caller builds the start model once with `initial_model` (built from the
 master seed, then pretrained on the source domain) and hands it to
-`run_federation`, which trains it in place. One round samples the
-participating clients and runs one job per participant: select a per-round
-training subset according to the configured strategy, then run E local
-epochs on that subset. The uploaded head parameters are aggregated weighted
-by the number of samples each client actually trained on; every selector
-keeps a count fixed by the client's size, so the total weight is known
-before any job runs and each upload is folded in as it arrives. The frozen
-feature extractor is fixed once pretraining ends, so its output is computed
-once per sample and the rounds run on the head alone.
+`run_federation`, which trains it in place. A strategy name stands for one
+entry of `STRATEGIES`: the part trained, the selector and the FedProx pull.
+One round samples the participating clients and runs one job each: select a
+per-round training subset, then run E local epochs on it. The uploaded
+heads are aggregated weighted by the number of samples each client trained
+on; every selector keeps a count fixed by the client's size, so the total
+weight is known before any job runs and each upload is folded in as it
+arrives. The frozen feature extractor is fixed once pretraining ends, so
+its output is computed once per sample and the rounds run on the head alone.
 
 Client "training time" is a deterministic device-effort model (sample visits
 times the full model's per-sample cost at a nominal 1 GFLOP/s), not measured
@@ -46,7 +46,23 @@ log = logging.getLogger("fedsim.federation")
 SECONDS_PER_FLOP = 1e-9  # nominal 1 GFLOP/s client device
 FROZEN_BLOCK_ROWS = 512  # test rows per frozen-extractor call when caching phi
 
-STRATEGIES = ("fedavg", "fedprox", "fedft_rds", "fedft_eds", "fedft_all")
+
+@dataclass(frozen=True)
+class Strategy:
+    """The three choices a strategy name stands for."""
+
+    whole_model: bool  # train every layer, or only the head above split_index
+    selector: str  # "entropy", "random" or "all" (which keeps p_ds 1)
+    proximal: bool  # add the FedProx pull prox_mu * (theta - theta_t)
+
+
+STRATEGIES = {
+    "fedavg": Strategy(whole_model=True, selector="random", proximal=False),
+    "fedprox": Strategy(whole_model=True, selector="random", proximal=True),
+    "fedft_rds": Strategy(whole_model=False, selector="random", proximal=False),
+    "fedft_eds": Strategy(whole_model=False, selector="entropy", proximal=False),
+    "fedft_all": Strategy(whole_model=False, selector="all", proximal=False),
+}
 
 REPORT_CSV_COLUMNS = (
     "round",
@@ -85,7 +101,8 @@ class FederationConfig:
 
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
+            names = tuple(STRATEGIES)
+            raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {names}")
         if self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
         if self.local_epochs < 1:
@@ -125,18 +142,9 @@ class FederationConfig:
             )
 
     @property
-    def effective_split_index(self) -> int:
-        """fedavg/fedprox always train the full model."""
-        if self.strategy in ("fedavg", "fedprox"):
-            return 0
-        return self.split_index
-
-    @property
-    def effective_p_ds(self) -> float:
-        """fedft_all always trains on everything."""
-        if self.strategy == "fedft_all":
-            return 1.0
-        return self.p_ds
+    def trained_split(self) -> int:
+        """The split of the model the strategy trains: 0 for the whole model."""
+        return 0 if STRATEGIES[self.strategy].whole_model else self.split_index
 
     def as_dict(self) -> dict:
         out = asdict(self)
@@ -237,7 +245,7 @@ def initial_model(config: FederationConfig, source: Dataset, train: Dataset) -> 
         input_dim=train.feature_dim,
         hidden_sizes=config.hidden_sizes,
         num_classes=train.num_classes,
-        split_index=config.effective_split_index,
+        split_index=config.trained_split,
         seed=derive_seed(master, streams.INIT),
     )
     return pretrain(
@@ -307,10 +315,10 @@ def fedprox_local_update(
     batch_size: int,
     epoch_seeds: list[int],
 ) -> ClientUpdate:
-    """Local update with a proximal pull mu * (theta - theta_t) added per step.
+    """Local update with a proximal pull mu * (theta - theta_t) added per step;
+    the round loop's one update call, at mu 0 for a strategy with no pull.
 
-    Like client_local_update it trains a copy; theta_t is the given model's
-    head, which stays as it is.
+    It trains a copy; theta_t is the given model's head, which stays as is.
     """
     return _local_update(client_id, model, data, epochs, opt, prox_mu, batch_size, epoch_seeds)
 
@@ -451,7 +459,7 @@ def run_federation(
     start_widths = [start.input_dim] + [
         layer.out_dim for layer in start.layers if isinstance(layer, nn.DenseLayer)
     ]
-    split = config.effective_split_index
+    split = config.trained_split
     if start_widths != widths or start.split_index != split:
         raise ConfigError(
             f"start model has widths {start_widths} and split {start.split_index}, "
@@ -467,9 +475,11 @@ def run_federation(
     test_blocks = [slice(s, s + FROZEN_BLOCK_ROWS) for s in range(0, len(test), FROZEN_BLOCK_ROWS)]
     test_rows = _frozen_rows(start, test, test_blocks, head.input_dim)
     train_rows = _frozen_rows(start, train, [p.sample_indices for p in partitions], head.input_dim)
-    p_ds = config.effective_p_ds
-    # one flag picks the entropy selector and charges its scoring pass
-    scores = config.strategy == "fedft_eds" and p_ds < 1.0
+    strategy = STRATEGIES[config.strategy]
+    p_ds = 1.0 if strategy.selector == "all" else config.p_ds
+    # at p_ds 1 every selector keeps everything, and none is charged a scoring pass
+    selector = "all" if p_ds >= 1.0 else strategy.selector
+    prox_mu = config.prox_mu if strategy.proximal else 0.0  # at 0 no pull vector is made
     # Every selector keeps selection_count(n, p_ds) samples, so each round's
     # total weight is known before any job runs and each update can be folded
     # into the head as it arrives, then dropped.
@@ -480,7 +490,7 @@ def run_federation(
     forward_flops = nn.forward_flops_per_sample(start)
     train_flops = forward_flops + nn.backward_flops_per_sample(start)
     device_seconds = [
-        (len(part) * forward_flops * SECONDS_PER_FLOP if scores else 0.0)
+        (len(part) * forward_flops * SECONDS_PER_FLOP if selector == "entropy" else 0.0)
         + config.local_epochs * kept * train_flops * SECONDS_PER_FLOP
         for part, kept in zip(partitions, kept_counts)
     ]
@@ -492,39 +502,28 @@ def run_federation(
         (selection, update). A NumericError names the round and the client."""
         try:
             part = partitions[client_id]
-            if scores:
+            if selector == "entropy":
                 chosen = select_by_entropy(head, train_rows, part, p_ds, config.rho)
-            elif p_ds >= 1.0:
-                chosen = select_all(part)
-            else:
+            elif selector == "random":
                 chosen = select_random(part, p_ds, derive_seed(master, streams.SELECTION, round_no))
+            else:
+                chosen = select_all(part)
             subset = train_rows.subset(chosen.selected_indices)
             opt = nn.OptimizerState(learning_rate=config.learning_rate, momentum=config.momentum)
             epoch_seeds = [
                 derive_seed(master, streams.SHUFFLE, round_no, client_id, epoch)
                 for epoch in range(config.local_epochs)
             ]
-            if config.strategy == "fedprox":
-                update = fedprox_local_update(
-                    client_id,
-                    head,
-                    subset,
-                    config.local_epochs,
-                    opt,
-                    config.prox_mu,
-                    config.batch_size,
-                    epoch_seeds,
-                )
-            else:
-                update = client_local_update(
-                    client_id,
-                    head,
-                    subset,
-                    config.local_epochs,
-                    opt,
-                    config.batch_size,
-                    epoch_seeds,
-                )
+            update = fedprox_local_update(
+                client_id,
+                head,
+                subset,
+                config.local_epochs,
+                opt,
+                prox_mu,
+                config.batch_size,
+                epoch_seeds,
+            )
         except NumericError as exc:
             raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
         return chosen, update

@@ -67,7 +67,7 @@ def desk_run(config, inputs, hook=None):
     """
     pretrained, train, test, partitions = inputs
     start = pretrained.copy()
-    start.split_index = config.federation.effective_split_index
+    start.split_index = config.federation.trained_split
     return run_federation(
         config.federation, start, train, partitions, test, upload_hook=hook
     )

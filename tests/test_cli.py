@@ -679,6 +679,21 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("source", ["ini", "flag"])
+def test_an_unknown_strategy_is_rejected_naming_the_five(tmp_path, capsys, source):
+    config_path = tmp_path / "bad.ini"
+    config_path.write_text("[federation]\nstrategy = fedsgd\n", encoding="utf-8")
+    given = ["--config", config_path] if source == "ini" else ["--strategy", "fedsgd"]
+    code = exit_code(["run", "--out", tmp_path / "x", "--seed", 1, *given])
+    assert code == 2
+    err = capsys.readouterr().err
+    names = ("fedavg", "fedprox", "fedft_rds", "fedft_eds", "fedft_all")
+    if source == "ini":
+        assert f"unknown strategy 'fedsgd', expected one of {names}" in err
+    else:
+        assert "invalid choice: 'fedsgd'" in err and all(repr(n) in err for n in names)
+
+
 def test_fedsim_log_env_smoke(tmp_path, monkeypatch):
     monkeypatch.setenv("FEDSIM_LOG", "INFO")
     out = tmp_path / "log"

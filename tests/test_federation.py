@@ -105,12 +105,22 @@ def test_config_rejects_a_non_finite_rate(key, value):
         small_config(**{key: value}).validate()
 
 
-def test_config_effective_fields():
-    assert small_config(strategy="fedavg", split_index=4).effective_split_index == 0
-    assert small_config(strategy="fedprox", split_index=4).effective_split_index == 0
-    assert small_config(strategy="fedft_eds", split_index=4).effective_split_index == 4
-    assert small_config(strategy="fedft_all", p_ds=0.3).effective_p_ds == 1.0
-    assert small_config(strategy="fedft_eds", p_ds=0.3).effective_p_ds == 0.3
+def test_each_strategy_name_resolves_to_its_three_settings():
+    # (whole_model, selector, proximal); the names keep the CLI's choice order
+    table = {name: dataclasses.astuple(s) for name, s in federation.STRATEGIES.items()}
+    assert list(table) == ["fedavg", "fedprox", "fedft_rds", "fedft_eds", "fedft_all"]
+    assert table == {
+        "fedavg": (True, "random", False),
+        "fedprox": (True, "random", True),
+        "fedft_rds": (False, "random", False),
+        "fedft_eds": (False, "entropy", False),
+        "fedft_all": (False, "all", False),
+    }
+    assert small_config(strategy="fedavg", split_index=4).trained_split == 0
+    assert small_config(strategy="fedprox", split_index=4).trained_split == 0
+    assert small_config(strategy="fedft_eds", split_index=4).trained_split == 4
+    for name in ("fedft_rds", "fedft_all"):
+        assert small_config(strategy=name, split_index=2).trained_split == 2
 
 
 # --- pretrain ------------------------------------------------------------------
@@ -750,13 +760,27 @@ def test_single_client_fedavg_equals_centralized_training():
             assert np.array_equal(a.bias, b.bias)
 
 
-def test_eds_with_unit_settings_matches_fedft_all():
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (dict(strategy="fedft_eds", p_ds=1.0, rho=1.0), dict(strategy="fedft_all")),
+        (dict(strategy="fedft_eds", p_ds=1.0, rho=0.1), dict(strategy="fedft_all")),
+        (dict(strategy="fedft_rds", p_ds=1.0), dict(strategy="fedft_all")),
+        (dict(strategy="fedft_all", split_index=0), dict(strategy="fedavg", p_ds=1.0)),
+        (dict(strategy="fedprox", prox_mu=0.0), dict(strategy="fedavg")),
+    ],
+    ids=["eds_p1_rho1", "eds_p1_rho0.1", "rds_p1", "all_split0_is_fedavg_p1", "fedprox_mu0"],
+)
+def test_strategies_that_the_table_makes_equal_run_bitwise_equal(left, right):
+    # small_config's p_ds is 0.5, which fedft_all ignores: it trains on
+    # everything, and at p_ds 1 no selector pays for scoring
     source, train, test, parts = small_setup()
-    eds = small_config(strategy="fedft_eds", rho=1.0, p_ds=1.0)
-    everything = small_config(strategy="fedft_all", p_ds=1.0)
-    reports_eds, _ = pretrained_run(eds, source, train, parts, test)
-    reports_all, _ = pretrained_run(everything, source, train, parts, test)
-    assert reports_eds == reports_all
+    reports_left, final_left = pretrained_run(small_config(**left), source, train, parts, test)
+    reports_right, final_right = pretrained_run(small_config(**right), source, train, parts, test)
+    assert reports_left == reports_right
+    assert np.array_equal(final_left.params, final_right.params)
+    if "fedft_all" in (left["strategy"], right["strategy"]):
+        assert all(r.total_selected == len(train) for r in reports_right)
 
 
 def test_phi_is_bitwise_constant_across_rounds():

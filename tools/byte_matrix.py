@@ -11,6 +11,10 @@ of them the same command matrix runs at the desk preset, seeds 7 and
   five strategies, at `--threads` 1 and 3;
 - a plain `run`, with no analysis and so no hook, for `fedft_eds` and
   `fedprox` at `--threads` 3;
+- `run` with all analyses at `--threads` 1 where a strategy's selector
+  falls back to keeping everything or its FedProx pull is off:
+  `fedft_eds --p-ds 1.0`, `fedft_rds --p-ds 1.0` and
+  `fedprox --federation.prox_mu 0`;
 - `analyze-cka` and `entropy-hist` at both thread counts;
 - `compare` over the ten runs of the seed.
 
@@ -19,7 +23,7 @@ directory, so paths printed or recorded are alike. Every file written and
 every command's stdout is then compared byte for byte; `manifest.json`
 files are compared as JSON without `started_utc` and `finished_utc`. The
 exit status is 1 if anything differs or a command fails, 0 otherwise. The
-matrix runs 36 commands per side and takes a few minutes; it is not part
+matrix runs 42 commands per side and takes a few minutes; it is not part
 of the pytest suite.
 """
 
@@ -36,6 +40,13 @@ from pathlib import Path
 SEEDS = (7, 424242)
 STRATEGIES = ("fedavg", "fedprox", "fedft_rds", "fedft_eds", "fedft_all")
 PLAIN_STRATEGIES = ("fedft_eds", "fedprox")
+# (name, flags): the runs at p_ds 1, where every selector keeps everything,
+# and FedProx with no pull
+FALLBACKS = (
+    ("fedft_eds_p1", ["--strategy", "fedft_eds", "--p-ds", "1.0"]),
+    ("fedft_rds_p1", ["--strategy", "fedft_rds", "--p-ds", "1.0"]),
+    ("fedprox_mu0", ["--strategy", "fedprox", "--federation.prox_mu", "0"]),
+)
 THREADS = (1, 3)
 PRESET = ["--preset", "desk-default"]
 # runs read the datasets that the seed's `generate` wrote, one level up
@@ -66,6 +77,11 @@ def matrix() -> list[tuple[str, list[str]]]:
             out = f"{at}/plain_{strategy}_t3"
             commands.append((f"{out}.stdout", [
                 "run", *seeded, "--strategy", strategy, "--threads", "3", "--out", out, *DATASETS,
+            ]))
+        for name, flags in FALLBACKS:
+            out = f"{at}/fallback_{name}"
+            commands.append((f"{out}.stdout", [
+                "run", *seeded, *flags, "--out", out, *DATASETS, *ANALYSES,
             ]))
         for command in ("analyze-cka", "entropy-hist"):
             for threads in THREADS:
