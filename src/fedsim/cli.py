@@ -230,10 +230,13 @@ def _require_cka_pair(federation: FederationConfig) -> None:
 
 def _read_ini(path: Path) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    return {section: dict(parser.items(section)) for section in parser.sections()}
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+        # values are interpolated as they are read out, so items() can fail too
+        return {section: dict(parser.items(section)) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not a valid INI file: {exc}") from exc
 
 
 _CONVENIENCE = {
@@ -471,153 +474,100 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+# The analysis commands are views of `run`: each writes its one analysis,
+# whatever the analysis toggles say, and prints its lines in place of the
+# run's reports, checkpoint and summary. `analyze-cka` runs the first round
+# only, and `entropy-hist` takes the pretrained model, so it runs no round
+# and partitions nothing.
+_VIEWS = {"analyze-cka": "cka", "entropy-hist": "entropy_histogram"}
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    view = _VIEWS.get(args.command)
+    if view == "cka":
+        args.rounds = 1  # convenience flags are the last config layer: one round, always
     config = build_config(args)
+    toggles = ("cka", "entropy_histogram", "selection_dump")
+    analyses = {view} if view else {key for key in toggles if config.analysis[key]}
+    trains = view != "entropy_histogram"
+    if "cka" in analyses:  # validate checks it only when the toggle is on
+        _require_cka_pair(config.federation)
     started, out_dir, _source, (start, train, test) = _open_run(config, args.out)
-    partitions = _partition(config, train)
     captured, capture = _round_one_capture(start)
     outputs: dict[str, Path] = {}
-    dump = nullcontext()
-    if config.analysis["selection_dump"]:
-        outputs["selection_dump.csv"] = out_dir / "selection_dump.csv"
-        dump = _selection_dump(outputs["selection_dump.csv"], partitions, len(train))
-    with dump as selection_hook:
-        reports = run_federation(
-            config.federation,
-            start,
-            train,
-            partitions,
-            test,
-            threads=args.threads,
-            upload_hook=capture if config.analysis["cka"] else None,
-            selection_hook=selection_hook,
-        )
+    lines: list[str] = []
+    if trains:
+        partitions = _partition(config, train)
+        dump = nullcontext()
+        if "selection_dump" in analyses:
+            outputs["selection_dump.csv"] = out_dir / "selection_dump.csv"
+            dump = _selection_dump(outputs["selection_dump.csv"], partitions, len(train))
+        with dump as selection_hook:
+            reports = run_federation(
+                config.federation,
+                start,
+                train,
+                partitions,
+                test,
+                threads=args.threads,
+                upload_hook=capture if "cka" in analyses else None,
+                selection_hook=selection_hook,
+            )
 
-    reports_path = out_dir / "reports.csv"
-    write_reports_csv(reports, config.federation.strategy, reports_path)
-    outputs["reports.csv"] = reports_path
-    checkpoint_path = out_dir / "model.ckpt"
-    nn.save_model(start, checkpoint_path)
-    outputs["model.ckpt"] = checkpoint_path
+    if not view:
+        outputs["reports.csv"] = out_dir / "reports.csv"
+        write_reports_csv(reports, config.federation.strategy, outputs["reports.csv"])
+        outputs["model.ckpt"] = out_dir / "model.ckpt"
+        nn.save_model(start, outputs["model.ckpt"])
 
-    if config.analysis["cka"]:
-        _write_cka(captured, test, out_dir, outputs)
+    if "cka" in analyses:
+        # one cka_<level>.csv per level over the round-1 models in client-id order
+        captured.sort(key=lambda item: item[0])
+        models = [m for _, m in captured]
+        for level in analysis.LAYER_LEVELS:
+            matrix = analysis.pairwise_cka(models, test, level)
+            path = out_dir / f"cka_{level}.csv"
+            write_csv(
+                path,
+                [str(cid) for cid, _ in captured],
+                ([_fmt(v) for v in row] for row in matrix.values),
+            )
+            outputs[path.name] = path
+            mean = analysis.mean_offdiagonal(matrix)
+            lines.append(f"{level}: mean off-diagonal CKA {mean:.4f}")
 
-    if config.analysis["entropy_histogram"]:
-        _write_entropy_histograms(
-            start,
-            train,
-            config.analysis["histogram_rhos"],
-            config.analysis["histogram_bins"],
-            out_dir,
-            outputs,
-        )
+    if "entropy_histogram" in analyses:
+        # one entropy_hist_rho<rho>.csv per temperature of start's predictions on train
+        rhos = config.analysis["histogram_rhos"]
+        bins = config.analysis["histogram_bins"]
+        edges = analysis.histogram_edges(train.num_classes, bins)
+        for rho, counts in zip(rhos, analysis.entropy_histogram(start, train, rhos, bins)):
+            path = out_dir / _histogram_file_name(rho)
+            write_csv(
+                path,
+                ["bin_low", "bin_high", "count"],
+                ([_fmt(edges[i]), _fmt(edges[i + 1]), int(n)] for i, n in enumerate(counts)),
+            )
+            outputs[path.name] = path
+            low_half = int(counts[: len(counts) // 2].sum())
+            lines.append(f"rho={rho:g}: {low_half}/{int(counts.sum())} samples in the lower half")
 
-    write_manifest(out_dir, "run", config, _dataset_paths(config, out_dir), outputs, started)
-    best = max((r.test_accuracy for r in reports), default=float("nan"))
-    print(
-        f"{config.federation.strategy}: {len(reports)} rounds, "
-        f"best test accuracy {best:.4f}, outputs in {out_dir}"
+    write_manifest(
+        out_dir, args.command, config, _dataset_paths(config, out_dir), outputs, started
     )
+    if not view:
+        best = max((r.test_accuracy for r in reports), default=float("nan"))
+        lines = [
+            f"{config.federation.strategy}: {len(reports)} rounds, "
+            f"best test accuracy {best:.4f}, outputs in {out_dir}"
+        ]
+    for line in lines:
+        print(line)
     return 0
-
-
-def _write_cka(
-    captured: list[tuple[int, nn.Model]], test: Dataset, out_dir: Path, outputs: dict[str, Path]
-) -> list[analysis.CkaMatrix]:
-    """Write cka_<level>.csv over the client models in client-id order.
-
-    Adds each file to outputs and returns the matrices in LAYER_LEVELS order.
-    """
-    captured = sorted(captured, key=lambda item: item[0])
-    models = [m for _, m in captured]
-    matrices = []
-    for level in analysis.LAYER_LEVELS:
-        matrix = analysis.pairwise_cka(models, test, level)
-        path = out_dir / f"cka_{level}.csv"
-        write_csv(
-            path,
-            [str(cid) for cid, _ in captured],
-            ([_fmt(v) for v in row] for row in matrix.values),
-        )
-        outputs[path.name] = path
-        matrices.append(matrix)
-    return matrices
 
 
 def _histogram_file_name(rho: float) -> str:
     return f"entropy_hist_rho{rho:g}.csv"
-
-
-def _write_entropy_histograms(
-    model: nn.Model,
-    train: Dataset,
-    rhos: tuple[float, ...],
-    bins: int,
-    out_dir: Path,
-    outputs: dict[str, Path],
-) -> list[np.ndarray]:
-    """Write entropy_hist_rho<rho>.csv of the model's predictions on train.
-
-    Adds each file to outputs and returns the bin counts in rhos order.
-    """
-    edges = analysis.histogram_edges(train.num_classes, bins)
-    all_counts = analysis.entropy_histogram(model, train, rhos, bins)
-    for rho, counts in zip(rhos, all_counts):
-        path = out_dir / _histogram_file_name(rho)
-        write_csv(
-            path,
-            ["bin_low", "bin_high", "count"],
-            ([_fmt(edges[i]), _fmt(edges[i + 1]), int(count)] for i, count in enumerate(counts)),
-        )
-        outputs[path.name] = path
-    return all_counts
-
-
-def cmd_analyze_cka(args: argparse.Namespace) -> int:
-    """Run a single round and report pairwise client-model CKA at each level."""
-    args.rounds = 1  # convenience flags are the last config layer: one round, always
-    config = build_config(args)
-    _require_cka_pair(config.federation)
-    started, out_dir, _source, (start, train, test) = _open_run(config, args.out)
-    captured, capture = _round_one_capture(start)
-    run_federation(
-        config.federation,
-        start,
-        train,
-        _partition(config, train),
-        test,
-        threads=args.threads,
-        upload_hook=capture,
-    )
-    outputs: dict[str, Path] = {}
-    for matrix in _write_cka(captured, test, out_dir, outputs):
-        print(
-            f"{matrix.layer_level}: mean off-diagonal CKA "
-            f"{analysis.mean_offdiagonal(matrix):.4f}"
-        )
-    write_manifest(
-        out_dir, "analyze-cka", config, _dataset_paths(config, out_dir), outputs, started
-    )
-    return 0
-
-
-def cmd_entropy_hist(args: argparse.Namespace) -> int:
-    """Histogram prediction entropies of the pretrained model per temperature."""
-    config = build_config(args)
-    started, out_dir, _source, (start, train, _test) = _open_run(config, args.out)
-    rhos = config.analysis["histogram_rhos"]
-    outputs: dict[str, Path] = {}
-    all_counts = _write_entropy_histograms(
-        start, train, rhos, config.analysis["histogram_bins"], out_dir, outputs
-    )
-    for rho, counts in zip(rhos, all_counts):
-        low_half = int(counts[: len(counts) // 2].sum())
-        print(f"rho={rho:g}: {low_half}/{int(counts.sum())} samples in the lower half")
-    write_manifest(
-        out_dir, "entropy-hist", config, _dataset_paths(config, out_dir), outputs, started
-    )
-    return 0
 
 
 def _load_run_summary(run_dir: Path, threshold: float) -> dict:
@@ -630,11 +580,14 @@ def _load_run_summary(run_dir: Path, threshold: float) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{manifest_path} is not valid JSON: {exc}") from exc
     try:
+        command = manifest["command"]
         fed = manifest["config"]["federation"]
         strategy = fed["strategy"]
         p_ds, f_n = float(fed["p_ds"]), float(fed["participation_fraction"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{manifest_path} lacks a run's federation settings: {exc!r}") from exc
+    if command != "run":
+        raise ConfigError(f"{run_dir} holds the output of `fedsim {command}`, not of a run")
     reports = read_reports_csv(run_dir / "reports.csv")
     best_acc = max((r.test_accuracy for r in reports), default=float("nan"))
     efficiency = analysis.learning_efficiency(reports) if reports else float("nan")
@@ -737,8 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--out-file", type=Path, default=None, help="also write CSV here")
     p_compare.set_defaults(func=cmd_compare)
 
-    config_command("analyze-cka", "one round, pairwise client-model CKA", cmd_analyze_cka)
-    config_command("entropy-hist", "entropy histograms of the pretrained model", cmd_entropy_hist)
+    config_command("analyze-cka", "one round, pairwise client-model CKA", cmd_run)
+    config_command("entropy-hist", "entropy histograms of the pretrained model", cmd_run)
     return parser
 
 

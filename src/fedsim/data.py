@@ -333,18 +333,3 @@ def mean_client_label_entropy(dataset: Dataset, partitions: list[ClientPartition
         entropies.append(float(-(probs[nz] * np.log(probs[nz])).sum()))
     return float(np.mean(entropies))
 
-
-__all__ = [
-    "Dataset",
-    "ClientPartition",
-    "PartitionSpec",
-    "generate_synthetic",
-    "dirichlet_partition",
-    "partition_covers",
-    "stratified_split",
-    "save_dataset",
-    "load_dataset",
-    "open_csv",
-    "write_csv",
-    "mean_client_label_entropy",
-]

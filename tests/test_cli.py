@@ -281,6 +281,21 @@ def test_compare_reports_a_malformed_run_directory(tmp_path, capsys, name, text)
     assert str(bad / name) in err
 
 
+@pytest.mark.parametrize("command", ["analyze-cka", "entropy-hist", "generate"])
+def test_compare_rejects_a_directory_that_is_not_a_run(tmp_path, capsys, command):
+    run, other = tmp_path / "run", tmp_path / "other"
+    generate(run)
+    assert run_cli(["run", "--out", run, "--seed", 5, *TINY, "--rounds", "1"]) == 0
+    generate(other)
+    if command != "generate":
+        assert run_cli([command, "--out", other, "--seed", 5, *TINY]) == 0
+    capsys.readouterr()
+    assert run_cli(["compare", run, other]) == 2
+    err = capsys.readouterr().err
+    assert str(other) in err
+    assert f"`fedsim {command}`" in err
+
+
 def test_compare_pretraining_wins_early(tmp_path):
     rows = {}
     for name, pre in (("pre", "10"), ("scratch", "0")):
@@ -497,6 +512,21 @@ def test_entropy_hist_does_not_partition_the_pool(tmp_path):
         assert (outs["5"] / name).read_bytes() == (outs["200"] / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["analyze-cka", "entropy-hist"])
+def test_the_analysis_commands_ignore_the_analysis_toggles(tmp_path, capsys, command):
+    # only `run` reads the toggles: each analysis command writes and prints
+    # the same with all of them on as with none
+    written = []
+    for name, toggles in (("none", []), ("all", TOGGLES)):
+        out = tmp_path / name
+        generate(out)
+        capsys.readouterr()
+        assert run_cli([command, "--out", out, "--seed", 5, *TINY, *toggles]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        written.append((outputs, sorted(p.name for p in out.iterdir()), capsys.readouterr().out))
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("rhos", ["1.0,1", "0.1,0.1000001", "", ",,"])
 def test_histogram_rhos_sharing_a_file_name_are_rejected(tmp_path, capsys, rhos):
     out = tmp_path / "hist"
@@ -611,6 +641,25 @@ def test_compare_rejects_dotted_settings(tmp_path, capsys):
 def test_analyze_cka_runs_one_round_whatever_the_dotted_rounds_says(tmp_path, capsys):
     out, _ = _command_output(tmp_path, capsys, "analyze-cka", "--federation.rounds", "7")
     assert json.loads((out / "manifest.json").read_text())["config"]["federation"]["rounds"] == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"[federation]\nrounds = 1\nrounds = 2\n",
+        b"rounds = 1\n",
+        b"[federation]\nstrategy = fed%avg\n",
+        b"[federation]\nstrategy = fed\xffavg\n",
+    ],
+    ids=["duplicate key", "no section header", "bare percent", "not utf-8"],
+)
+def test_a_malformed_config_file_exits_2_naming_it(tmp_path, capsys, text):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_bytes(text)
+    out = tmp_path / "gen"
+    assert run_cli(["generate", "--out", out, *TINY, "--config", config_path]) == 2
+    assert str(config_path) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_short_flags_beat_dotted_flags_which_beat_the_config_file(tmp_path):

@@ -15,7 +15,8 @@ of them the same command matrix runs at the desk preset, seeds 7 and
   falls back to keeping everything or its FedProx pull is off:
   `fedft_eds --p-ds 1.0`, `fedft_rds --p-ds 1.0` and
   `fedprox --federation.prox_mu 0`;
-- `analyze-cka` and `entropy-hist` at both thread counts;
+- `analyze-cka` and `entropy-hist` at both thread counts, and again at
+  `--threads` 1 with every analysis toggle on, which only `run` reads;
 - `compare` over the ten runs of the seed.
 
 Every command runs in the same relative directory of its side's work
@@ -23,7 +24,7 @@ directory, so paths printed or recorded are alike. Every file written and
 every command's stdout is then compared byte for byte; `manifest.json`
 files are compared as JSON without `started_utc` and `finished_utc`. The
 exit status is 1 if anything differs or a command fails, 0 otherwise. The
-matrix runs 42 commands per side and takes a few minutes; it is not part
+matrix runs 46 commands per side and takes a few minutes; it is not part
 of the pytest suite.
 """
 
@@ -89,6 +90,10 @@ def matrix() -> list[tuple[str, list[str]]]:
                 commands.append((f"{out}.stdout", [
                     command, *seeded, "--threads", str(threads), "--out", out, *DATASETS,
                 ]))
+            out = f"{at}/{command}_toggled"
+            commands.append((f"{out}.stdout", [
+                command, *seeded, "--threads", "1", "--out", out, *DATASETS, *ANALYSES,
+            ]))
         commands.append((f"{at}/compare.stdout",
                          ["compare", *runs, "--out-file", f"{at}/compare.csv"]))
     return commands
