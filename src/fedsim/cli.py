@@ -231,10 +231,14 @@ def _require_cka_pair(federation: FederationConfig) -> None:
 def _read_ini(path: Path) -> dict:
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path, encoding="utf-8"):
-            raise ConfigError(f"config file not found: {path}")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         # values are interpolated as they are read out, so items() can fail too
         return {section: dict(parser.items(section)) for section in parser.sections()}
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not a valid INI file: {exc}") from exc
 
@@ -797,7 +801,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     try:
         return args.func(args)
-    except (FedsimError, FileNotFoundError) as exc:
+    except (FedsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

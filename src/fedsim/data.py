@@ -321,15 +321,3 @@ def write_csv(path, header, rows) -> None:
     """Write a header row, then `rows`, as CSV: comma separated, LF endings."""
     with open_csv(path, header) as writer:
         writer.writerows(rows)
-
-
-def mean_client_label_entropy(dataset: Dataset, partitions: list[ClientPartition]) -> float:
-    """Average per-client Shannon entropy of the label distribution (nats)."""
-    entropies = []
-    for part in partitions:
-        counts = np.bincount(dataset.labels[part.sample_indices], minlength=dataset.num_classes)
-        probs = counts / counts.sum()
-        nz = probs > 0
-        entropies.append(float(-(probs[nz] * np.log(probs[nz])).sum()))
-    return float(np.mean(entropies))
-

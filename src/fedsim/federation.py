@@ -182,16 +182,16 @@ def _run_epochs(
     prox_mu: float = 0.0,
     anchor: Optional[np.ndarray] = None,
 ) -> None:
-    """Mini-batch SGD on `model.theta` in place; one shuffle per epoch from
-    the given seeds.
+    """Mini-batch SGD on every parameter of `model`, in place; one shuffle
+    per epoch from the given seeds.
 
-    A nonzero prox_mu adds the FedProx pull mu * (theta - anchor) to every
-    gradient, `anchor` being laid out like theta too. The gradient, and the
-    pull if there is one, each have one vector for every step.
+    A nonzero prox_mu adds the FedProx pull mu * (params - anchor) to every
+    gradient, `anchor` being laid out like `model.params` too. The gradient,
+    and the pull if there is one, each have one vector for every step.
     """
-    theta = model.theta
-    grad = np.empty_like(theta)
-    pull = np.empty_like(theta) if prox_mu != 0.0 else None
+    params = model.params
+    grad = np.empty_like(params)
+    pull = np.empty_like(params) if prox_mu != 0.0 else None
     n = features.shape[0]
     for epoch in range(epochs):
         order = derive_rng(epoch_seeds[epoch]).permutation(n)
@@ -199,8 +199,8 @@ def _run_epochs(
             chosen = order[start : start + batch_size]
             nn.backward(model, features[chosen], labels[chosen], out=grad)
             if pull is not None:
-                # kept as g + mu * (theta - anchor): another grouping changes bits
-                np.subtract(theta, anchor, out=pull)
+                # kept as g + mu * (params - anchor): another grouping changes bits
+                np.subtract(params, anchor, out=pull)
                 pull *= prox_mu
                 grad += pull
             nn.sgd_step(model, grad, opt)
@@ -217,18 +217,16 @@ def pretrain(
 ) -> nn.Model:
     """Train every layer on the source domain; returns a new model.
 
-    The split is ignored while pretraining and restored on the result, so
-    the returned model is ready to be fine-tuned as {frozen phi, head}.
+    Training covers every layer of the model it is handed, so the copy is
+    trained whole and keeps the given split: the returned model is ready to
+    be fine-tuned as {frozen phi, head}.
     """
     if source is None or len(source) < 1:
         raise ParameterError("pretraining needs a nonempty source dataset")
     trained = model.copy()
-    original_split = trained.split_index
-    trained.split_index = 0
     opt = nn.OptimizerState(learning_rate=learning_rate, momentum=momentum)
     epoch_seeds = [derive_seed(seed, epoch) for epoch in range(epochs)]
     _run_epochs(trained, source.features, source.labels, epochs, opt, batch_size, epoch_seeds)
-    trained.split_index = original_split
     return trained
 
 
@@ -271,8 +269,9 @@ def _local_update(
 ) -> ClientUpdate:
     """The body of both local updates; prox_mu = 0 is the plain update.
 
-    Trains a copy of `model`, one fresh vector, whose head is the upload;
-    `model` itself is left as it is and anchors the FedProx pull.
+    Trains a copy of `model`, one fresh vector, which is the upload; `model`
+    itself is left as it is and anchors the FedProx pull. The round loop
+    hands it the global head, so the upload is a head vector.
     """
     if len(data) < 1:
         raise ParameterError("client update needs a nonempty selected subset")
@@ -283,9 +282,9 @@ def _local_update(
     client = model.copy()
     _run_epochs(
         client, data.features, data.labels, epochs, opt, batch_size, epoch_seeds, prox_mu,
-        model.theta,
+        model.params,
     )
-    return ClientUpdate(client_id=client_id, theta=client.theta, selected_count=len(data))
+    return ClientUpdate(client_id=client_id, theta=client.params, selected_count=len(data))
 
 
 def client_local_update(
@@ -297,10 +296,10 @@ def client_local_update(
     batch_size: int,
     epoch_seeds: list[int],
 ) -> ClientUpdate:
-    """E epochs of mini-batch SGD on the selected subset, head only.
+    """E epochs of mini-batch SGD on the selected subset.
 
-    Trains a copy of the given model (the global model as the client
-    receives it) and uploads the copy's head; the given model is unchanged.
+    Trains a copy of the given model (the global head as the client receives
+    it) and uploads the copy's parameters; the given model is unchanged.
     """
     return _local_update(client_id, model, selected, epochs, opt, 0.0, batch_size, epoch_seeds)
 
@@ -318,7 +317,7 @@ def fedprox_local_update(
     """Local update with a proximal pull mu * (theta - theta_t) added per step;
     the round loop's one update call, at mu 0 for a strategy with no pull.
 
-    It trains a copy; theta_t is the given model's head, which stays as is.
+    It trains a copy; theta_t, the given model's parameters, stays as is.
     """
     return _local_update(client_id, model, data, epochs, opt, prox_mu, batch_size, epoch_seeds)
 
@@ -485,10 +484,11 @@ def run_federation(
     # into the head as it arrives, then dropped.
     kept_counts = [selection_count(len(part), p_ds) for part in partitions]
     # So each client's device time is fixed too: scoring is one forward per
-    # sample, training E epochs over the kept samples, both charged for the
-    # full model, frozen part included.
+    # sample, training E epochs over the kept samples; every forward is
+    # charged for the full model, frozen part included, and every backward
+    # for the head that is trained.
     forward_flops = nn.forward_flops_per_sample(start)
-    train_flops = forward_flops + nn.backward_flops_per_sample(start)
+    train_flops = forward_flops + nn.backward_flops_per_sample(head)
     device_seconds = [
         (len(part) * forward_flops * SECONDS_PER_FLOP if selector == "entropy" else 0.0)
         + config.local_epochs * kept * train_flops * SECONDS_PER_FLOP

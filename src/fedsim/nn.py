@@ -2,18 +2,19 @@
 
 A model is an ordered list of layers split at ``split_index`` into a frozen
 lower part (the feature extractor) and a trainable upper part (the head).
-The gradient and the optimizer's updates touch only head parameters; the
-lower layers stay bitwise constant no matter how many steps are taken. All
-arithmetic is float64 so that determinism and oracle tolerances are
-meaningful.
+Training does not read the split: `backward` and `sgd_step` train every
+parameter of the model they are handed. Fine-tuning hands them
+`Model.head()`, a model of the head alone stored in the tail of the whole
+model's vector, and feeds it the frozen features; so the lower layers stay
+bitwise constant no matter how many steps are taken. All arithmetic is
+float64 so that determinism and oracle tolerances are meaningful.
 
 A model's parameters are one float64 vector, `Model.params`: every dense
 layer's weights (row-major) then bias, in layer order. Each layer's arrays
 are views of it, and the head's parameters (`Model.theta`) are its tail. The
-gradient that `backward` writes and the optimizer's velocity have the head's
-layout, so the FedProx pull is one expression on whole vectors and
-`sgd_step` moves every head parameter with a few vector operations.
-Elementwise arithmetic gives the same bits in either layout. Where each
+gradient that `backward` writes and the optimizer's velocity are laid out
+like `params`, so the FedProx pull is one expression on whole vectors and
+`sgd_step` moves every parameter with a few vector operations. Where each
 check runs:
 
 - `forward`: the batch's shape, and finite logits;
@@ -22,7 +23,9 @@ check runs:
   has checked the logits;
 - `sgd_step`: the lengths of the gradient and the velocity, then one
   finiteness check covers the whole gradient before any parameter moves;
-- `OptimizerState`: finite rates when made.
+- `OptimizerState`: finite rates when made;
+- the frozen layers: `Model.head()` views only the layers from the split on,
+  so no step taken on the head can reach the layers below it.
 
 The training loss always uses the standard softmax (temperature 1). The
 temperature-scaled variant exists for the entropy-based data selection path.
@@ -90,7 +93,8 @@ Layer = Union[DenseLayer, ReluLayer]
 
 
 class Model:
-    """Feed-forward network; layers [0, split_index) are frozen.
+    """Feed-forward network; layers [0, split_index) are frozen, and `theta`
+    and `head()` cover the rest.
 
     ``split_index`` may be anywhere in [0, len(layers)]: 0 means the whole
     model is trainable (the plain FedAvg configuration), len(layers) means
@@ -177,14 +181,6 @@ class Model:
                 return layer.in_dim
         raise ShapeError("model has no dense layer")
 
-    def trainable_layer_indices(self) -> list[int]:
-        """Indices of dense layers belonging to the trainable head."""
-        return [
-            i
-            for i in range(self.split_index, len(self.layers))
-            if isinstance(self.layers[i], DenseLayer)
-        ]
-
     def copy(self) -> "Model":
         """An independent model with the same values, in one fresh vector."""
         return self._on(self.params.copy(), self.layers, self.split_index)
@@ -199,8 +195,8 @@ class Model:
 class OptimizerState:
     """Heavy-ball SGD state: v <- momentum * v + g, theta <- theta - lr * v.
 
-    `velocity` is laid out like the head's `theta`; the first step makes it,
-    as zeros.
+    `velocity` is laid out like the trained model's `params`; the first step
+    makes it, as zeros.
     """
 
     learning_rate: float
@@ -331,12 +327,12 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 def backward(
     model: Model, batch: np.ndarray, labels: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Exact gradient of the mean cross-entropy w.r.t. the head parameters.
+    """Exact gradient of the mean cross-entropy w.r.t. every parameter.
 
     Runs its own forward pass over the batch, so the result depends only on
-    the arguments. Frozen layers receive no gradient. The gradient is one
-    vector laid out like `model.theta`, fresh or written into `out`, which
-    is then returned.
+    the arguments. The gradient is one vector laid out like `model.params`,
+    fresh or written into `out`, which is then returned. The gradient of the
+    head alone is that of `model.head()` on the frozen features.
     """
     batch = np.asarray(batch, dtype=np.float64)
     logits, activations = forward(model, batch)
@@ -348,10 +344,9 @@ def backward(
         raise ShapeError(f"labels shape {labels.shape} != ({n},)")
     _check_labels(labels, model.num_classes, "num_classes")
     starts = model._starts
-    base = starts[model.split_index]
-    grad = np.empty(starts[-1] - base) if out is None else out
-    if grad.shape != (starts[-1] - base,):
-        raise ShapeError(f"out has shape {grad.shape}, the head {starts[-1] - base} values")
+    grad = np.empty(starts[-1]) if out is None else out
+    if grad.shape != (starts[-1],):
+        raise ShapeError(f"out has shape {grad.shape}, the model {starts[-1]} values")
 
     # forward has checked the logits, and the softmax output is this call's
     # own array, so delta takes it over
@@ -359,15 +354,14 @@ def backward(
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 
-    for i in range(len(model.layers) - 1, model.split_index - 1, -1):
+    for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         if isinstance(layer, DenseLayer):
-            at, end = starts[i] - base, starts[i + 1] - base
-            bias_at = end - layer.out_dim
-            dw = grad[at:bias_at].reshape(layer.weights.shape)
+            bias_at = starts[i + 1] - layer.out_dim
+            dw = grad[starts[i] : bias_at].reshape(layer.weights.shape)
             np.matmul(delta.T, batch if i == 0 else activations[i - 1], out=dw)
-            delta.sum(axis=0, out=grad[bias_at:end])
-            if i > model.split_index:
+            delta.sum(axis=0, out=grad[bias_at : starts[i + 1]])
+            if i > 0:
                 delta = delta @ layer.weights
         else:
             delta *= activations[i] > 0.0
@@ -375,35 +369,36 @@ def backward(
 
 
 def sgd_step(model: Model, grad: np.ndarray, opt: OptimizerState) -> None:
-    """Apply one heavy-ball SGD step to the head parameters, in place.
+    """Apply one heavy-ball SGD step to every parameter of `model`, in place.
 
-    `grad` is laid out like `model.theta`, as `backward` writes it. Nothing
-    moves unless the whole gradient is finite; the velocity is updated even
-    when the learning rate is zero. The step then uses `grad` as scratch
-    space and leaves lr * v in it, so it makes no temporary vector the size
-    of the head.
+    `grad` is laid out like `model.params`, as `backward` writes it. Nothing
+    moves unless the whole gradient is finite, and the error for one that is
+    not names its first layer holding a non-finite value; the velocity is
+    updated even when the learning rate is zero. The step then uses `grad` as scratch space and
+    leaves lr * v in it, so it makes no temporary vector the size of the
+    model.
     """
-    theta = model.theta
+    params = model.params
     if opt.velocity is None:
-        opt.velocity = np.zeros(theta.shape)
+        opt.velocity = np.zeros(params.shape)
     velocity = opt.velocity
-    if not grad.shape == velocity.shape == theta.shape:
+    if not grad.shape == velocity.shape == params.shape:
         raise ShapeError(
             f"gradient {grad.shape} and velocity {velocity.shape} must match "
-            f"the head's {theta.shape}"
+            f"the model's {params.shape}"
         )
     if not np.isfinite(grad).all():
-        base = model._starts[model.split_index]
+        starts = model._starts  # a relu's slice is empty, so it is never named
         bad = next(
             i
-            for i in model.trainable_layer_indices()
-            if not np.isfinite(grad[model._starts[i] - base : model._starts[i + 1] - base]).all()
+            for i in range(len(model.layers))
+            if not np.isfinite(grad[starts[i] : starts[i + 1]]).all()
         )
         raise NumericError(f"non-finite gradient at layer {bad}")
     velocity *= opt.momentum
     velocity += grad
     np.multiply(velocity, opt.learning_rate, out=grad)
-    theta -= grad
+    params -= grad
 
 
 def forward_flops_per_sample(model: Model) -> int:
@@ -420,14 +415,16 @@ def forward_flops_per_sample(model: Model) -> int:
 
 
 def backward_flops_per_sample(model: Model) -> int:
-    """Per-sample cost of backprop through the trainable head."""
+    """Per-sample cost of backprop through every layer of `model`: the
+    gradient of each parameter, and delta down to the first layer's output.
+    The cost of training the head alone is that of `model.head()`."""
     total = 2 * model.num_classes  # softmax + delta at the output
     width = model.num_classes
-    for i in range(len(model.layers) - 1, model.split_index - 1, -1):
+    for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         if isinstance(layer, DenseLayer):
             total += 2 * layer.in_dim * layer.out_dim + layer.out_dim  # dW, db
-            if i > model.split_index:
+            if i > 0:
                 total += 2 * layer.in_dim * layer.out_dim  # delta propagation
             width = layer.in_dim
         else:

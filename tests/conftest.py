@@ -6,7 +6,8 @@ database) and without a per-example deadline; each test sets only its own
 
 `head_views` reads a vector laid out like a model's head (a gradient, a
 velocity, an upload) layer by layer; `assert_laid_out` checks that a model's
-layers are stored in its one parameter vector.
+layers are stored in its one parameter vector; `mean_client_label_entropy`
+measures how heterogeneous a partition's label mixes are.
 """
 
 import numpy as np
@@ -22,8 +23,10 @@ def _head_views(model, flat):
     vector laid out like `model.theta`: each layer's weights (row-major) then
     bias, in layer order. Written out here, apart from nn's own layout."""
     views, at = {}, 0
-    for i in model.trainable_layer_indices():
+    for i in range(model.split_index, len(model.layers)):
         layer = model.layers[i]
+        if layer.kind != "dense":
+            continue
         bias_at = at + layer.weights.size
         weights = flat[at:bias_at].reshape(layer.weights.shape)
         at = bias_at + layer.out_dim
@@ -59,3 +62,19 @@ def _assert_laid_out(model):
 @pytest.fixture(scope="session")
 def assert_laid_out():
     return _assert_laid_out
+
+
+def _mean_client_label_entropy(dataset, partitions):
+    """Average per-client Shannon entropy of the label distribution (nats)."""
+    entropies = []
+    for part in partitions:
+        counts = np.bincount(dataset.labels[part.sample_indices], minlength=dataset.num_classes)
+        probs = counts / counts.sum()
+        nz = probs > 0
+        entropies.append(float(-(probs[nz] * np.log(probs[nz])).sum()))
+    return float(np.mean(entropies))
+
+
+@pytest.fixture(scope="session")
+def mean_client_label_entropy():
+    return _mean_client_label_entropy

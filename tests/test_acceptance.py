@@ -258,12 +258,12 @@ def test_criterion_2_oracle_equivalence():
 # --- criterion 3: heterogeneity ordering --------------------------------------
 
 
-def test_criterion_3_heterogeneity_ordering():
+def test_criterion_3_heterogeneity_ordering(mean_client_label_entropy):
     ds = data.generate_synthetic(10, 100, 8, 2.0, seed=33)
     means = []
     for alpha in (0.1, 0.5, 10.0):
         entropies = [
-            data.mean_client_label_entropy(
+            mean_client_label_entropy(
                 ds, dirichlet_partition(ds, PartitionSpec(12, alpha, seed))
             )
             for seed in range(5)

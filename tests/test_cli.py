@@ -662,6 +662,29 @@ def test_a_malformed_config_file_exits_2_naming_it(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_a_config_path_that_is_not_a_readable_file_exits_2_saying_why(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert run_cli(["generate", "--out", out, *TINY, "--config", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert f"config file {tmp_path} cannot be read: Is a directory" in err
+    assert "not found" not in err
+    missing = tmp_path / "missing.ini"
+    assert run_cli(["generate", "--out", out, *TINY, "--config", missing]) == 2
+    assert f"config file not found: {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_an_out_path_that_is_a_file_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli([command, "--out", out, "--seed", 5, *TINY]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_short_flags_beat_dotted_flags_which_beat_the_config_file(tmp_path):
     config_path = tmp_path / "exp.ini"
     config_path.write_text("[federation]\nrounds = 1\nlocal_epochs = 2\n", encoding="utf-8")

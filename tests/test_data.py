@@ -126,14 +126,14 @@ def test_empty_client_repair_keeps_everyone_nonempty():
         assert data.partition_covers(parts, len(ds))
 
 
-def test_heterogeneity_ordering_across_alpha():
+def test_heterogeneity_ordering_across_alpha(mean_client_label_entropy):
     means = []
     for alpha in (0.1, 0.5, 10.0):
         entropies = []
         for seed in range(5):
             ds = data.generate_synthetic(10, 50, 4, 1.0, seed=123)
             parts = data.dirichlet_partition(ds, data.PartitionSpec(10, alpha, seed=seed))
-            entropies.append(data.mean_client_label_entropy(ds, parts))
+            entropies.append(mean_client_label_entropy(ds, parts))
         means.append(float(np.mean(entropies)))
     assert means[0] < means[1] < means[2]
 

@@ -67,6 +67,13 @@ def small_config(**overrides):
     return FederationConfig(**base)
 
 
+def head_and_rows(model, dataset):
+    """`model.head()`, and `dataset` with each row replaced by its frozen
+    features: what the round loop trains a client's copy of."""
+    rows = nn.layer_output(model, dataset.features, model.split_index)
+    return model.head(), data.Dataset(rows, dataset.labels, dataset.num_classes)
+
+
 def pretrained_run(config, source, train, parts, test, **kwargs):
     """run_federation from `initial_model`: (reports, the trained global model)."""
     model = initial_model(config, source, train)
@@ -194,17 +201,17 @@ def test_local_update_zero_learning_rate_keeps_theta():
     source, train, _, parts = small_setup()
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=6)
     before = model.theta.copy()
-    subset = train.subset(parts[0].sample_indices)
+    head, subset = head_and_rows(model, train.subset(parts[0].sample_indices))
     opt = nn.OptimizerState(learning_rate=0.0, momentum=0.5)
-    update = client_local_update(0, model, subset, 3, opt, 16, [1, 2, 3])
+    update = client_local_update(0, head, subset, 3, opt, 16, [1, 2, 3])
     assert np.array_equal(before, update.theta)
 
 
 def test_local_update_single_sample_single_step(head_views):
     _, train, _, _ = small_setup()
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=8)
-    subset = train.subset(np.array([3]))
-    reference = model.copy()
+    head, subset = head_and_rows(model, train.subset(np.array([3])))
+    reference = head.copy()
     grads = nn.backward(reference, subset.features, subset.labels)
     expected = {
         idx: (
@@ -214,15 +221,16 @@ def test_local_update_single_sample_single_step(head_views):
         for idx, (dw, db) in head_views(reference, grads).items()
     }
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.0)
-    update = client_local_update(0, model, subset, 1, opt, 16, [4])
-    trained = head_views(model, update.theta)
+    update = client_local_update(0, head, subset, 1, opt, 16, [4])
+    trained = head_views(head, update.theta)
     for idx, (w_exp, b_exp) in expected.items():
         assert np.array_equal(trained[idx][0], w_exp)
         assert np.array_equal(trained[idx][1], b_exp)
 
 
 def test_local_update_keeps_frozen_part_bitwise(monkeypatch):
-    # the client's copy trains its head alone; the model it was given stays
+    # the client's copy of the head trains alone; the model whose head was
+    # given stays, frozen part and head
     _, train, _, parts = small_setup()
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=9)
     frozen = [(model.layers[0].weights.copy(), model.layers[0].bias.copy())]
@@ -235,12 +243,13 @@ def test_local_update_keeps_frozen_part_bitwise(monkeypatch):
         run_epochs(client, *args)
 
     monkeypatch.setattr(federation, "_run_epochs", spy)
-    subset = train.subset(parts[1].sample_indices)
+    head, subset = head_and_rows(model, train.subset(parts[1].sample_indices))
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
-    update = client_local_update(1, model, subset, 4, opt, 8, [10, 11, 12, 13])
+    update = client_local_update(1, head, subset, 4, opt, 8, [10, 11, 12, 13])
     (client,) = trained
-    assert np.array_equal(client.layers[0].weights, frozen[0][0])
-    assert np.array_equal(client.layers[0].bias, frozen[0][1])
+    assert np.array_equal(model.layers[0].weights, frozen[0][0])
+    assert np.array_equal(model.layers[0].bias, frozen[0][1])
+    assert client.params.size == model.theta.size
     assert np.shares_memory(update.theta, client.params)
     assert not np.array_equal(client.theta, model.theta)
     assert np.array_equal(model.params, given)
@@ -272,7 +281,7 @@ def test_a_local_update_holds_few_head_sized_vectors(prox_mu, vectors):
 
 def test_local_update_reports_selected_count_and_time():
     _, train, _, parts = small_setup()
-    model = nn.build_mlp(8, (16,), 4, split_index=2, seed=10)
+    model = nn.build_mlp(8, (16,), 4, split_index=0, seed=10)
     subset = train.subset(parts[0].sample_indices)
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
     update = client_local_update(0, model, subset, 2, opt, 16, [1, 2])
@@ -283,7 +292,7 @@ def test_fedprox_mu_zero_equals_plain_update():
     _, train, _, parts = small_setup()
     subset = train.subset(parts[2].sample_indices)
     seeds = [21, 22, 23]
-    plain_model = nn.build_mlp(8, (16,), 4, split_index=2, seed=12)
+    plain_model = nn.build_mlp(8, (16,), 4, split_index=0, seed=12)
     prox_model = plain_model.copy()
     plain = client_local_update(
         2, plain_model, subset, 3, nn.OptimizerState(0.1, 0.5), 8, seeds
@@ -299,7 +308,7 @@ def test_fedprox_first_step_equals_plain_sgd():
     # leaves the very first step untouched
     _, train, _, _ = small_setup()
     subset = train.subset(np.arange(8))
-    plain_model = nn.build_mlp(8, (16,), 4, split_index=2, seed=13)
+    plain_model = nn.build_mlp(8, (16,), 4, split_index=0, seed=13)
     prox_model = plain_model.copy()
     plain = client_local_update(
         0, plain_model, subset, 1, nn.OptimizerState(0.1, 0.0), 32, [7]
@@ -313,20 +322,21 @@ def test_fedprox_first_step_equals_plain_sgd():
 def test_fedprox_applies_proximal_pull_on_later_steps(head_views):
     # two batches in one epoch: the second step must see g + mu * (theta - theta_t)
     _, train, _, _ = small_setup()
-    subset = train.subset(np.arange(16))
     mu, lr = 1.0, 0.1
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=14)
-    reference = model.copy()
+    head, subset = head_and_rows(model, train.subset(np.arange(16)))
+    reference = head.copy()
     update = fedprox_local_update(
-        0, model, subset, 1, nn.OptimizerState(lr, 0.0), mu, 8, [31]
+        0, head, subset, 1, nn.OptimizerState(lr, 0.0), mu, 8, [31]
     )
-    trained = head_views(model, update.theta)
+    trained = head_views(head, update.theta)
 
     # manual replay with nn primitives
     replay = reference.copy()
+    dense = [idx for idx, layer in enumerate(replay.layers) if layer.kind == "dense"]
     theta_ref = {
         idx: (replay.layers[idx].weights.copy(), replay.layers[idx].bias.copy())
-        for idx in replay.trainable_layer_indices()
+        for idx in dense
     }
     order = derive_rng(31).permutation(16)
     for start in (0, 8):
@@ -338,7 +348,7 @@ def test_fedprox_applies_proximal_pull_on_later_steps(head_views):
             ref_w, ref_b = theta_ref[idx]
             layer.weights[...] = layer.weights - lr * (dw + mu * (layer.weights - ref_w))
             layer.bias[...] = layer.bias - lr * (db + mu * (layer.bias - ref_b))
-    for idx in replay.trainable_layer_indices():
+    for idx in dense:
         assert np.allclose(trained[idx][0], replay.layers[idx].weights, atol=1e-15)
         assert np.allclose(trained[idx][1], replay.layers[idx].bias, atol=1e-15)
 
@@ -357,7 +367,7 @@ def reference_training(model, features, labels, epochs, lr, momentum, batch_size
     """Mini-batch heavy-ball SGD with the FedProx pull, one array per layer.
 
     Written out from the formulas: a forward pass, the softmax, backprop over
-    the layers from the split on, g + mu * (theta - theta_t) when mu != 0,
+    every layer, g + mu * (theta - theta_t) when mu != 0,
     then v <- momentum * v + g and theta <- theta - lr * v. Returns the
     {dense index: (weights, bias)} after training and the velocities.
     """
@@ -366,9 +376,8 @@ def reference_training(model, features, labels, epochs, lr, momentum, batch_size
         for i, layer in enumerate(model.layers)
         if isinstance(layer, nn.DenseLayer)
     }
-    trained = [i for i in params if i >= model.split_index]
-    anchor = {i: params[i] for i in trained}
-    velocity = {i: (np.zeros_like(params[i][0]), np.zeros_like(params[i][1])) for i in trained}
+    anchor = dict(params)
+    velocity = {i: (np.zeros_like(w), np.zeros_like(b)) for i, (w, b) in params.items()}
     n = features.shape[0]
     for epoch in range(epochs):
         order = derive_rng(seeds[epoch]).permutation(n)
@@ -386,14 +395,14 @@ def reference_training(model, features, labels, epochs, lr, momentum, batch_size
             delta[np.arange(len(yb)), yb] -= 1.0
             delta = delta / len(yb)
             grads = {}
-            for i in range(len(model.layers) - 1, model.split_index - 1, -1):
+            for i in range(len(model.layers) - 1, -1, -1):
                 if i in params:
                     grads[i] = (delta.T @ (xb if i == 0 else outputs[i - 1]), delta.sum(axis=0))
-                    if i > model.split_index:
+                    if i > 0:
                         delta = delta @ params[i][0]
                 else:
                     delta = delta * (outputs[i] > 0.0)
-            for i in trained:
+            for i in grads:
                 pulled = [
                     g + mu * (p - a) if mu != 0.0 else g
                     for g, p, a in zip(grads[i], params[i], anchor[i])
@@ -446,22 +455,23 @@ def test_local_update_and_pretrain_equal_the_per_layer_formulas(head_views, case
     model, dataset, epochs = case["model"], case["dataset"], case["epochs"]
     lr, momentum, batch_size = case["lr"], case["momentum"], case["batch_size"]
     seeds = [case["seed"] + epoch for epoch in range(epochs)]
+    # a client trains the head above the drawn split on the frozen features
+    head, rows = head_and_rows(model, dataset)
     expected, expected_velocity = reference_training(
-        model, dataset.features, dataset.labels, epochs, lr, momentum, batch_size, seeds,
-        case["mu"],
+        head, rows.features, rows.labels, epochs, lr, momentum, batch_size, seeds, case["mu"],
     )
     given = model.params.copy()
     opt = nn.OptimizerState(lr, momentum)
     update = federation._local_update(
-        0, model, dataset, epochs, opt, case["mu"], batch_size, seeds
+        0, head, rows, epochs, opt, case["mu"], batch_size, seeds
     )
     assert np.array_equal(model.params, given)
-    trained = model.copy()
-    np.copyto(trained.theta, update.theta)
-    assert_trained_like(trained, head_views(model, opt.velocity), expected, expected_velocity)
-    head = [a for i in sorted(expected_velocity) for a in expected[i]]
+    trained = head.copy()
+    np.copyto(trained.params, update.theta)
+    assert_trained_like(trained, head_views(head, opt.velocity), expected, expected_velocity)
+    arrays = [a for i in sorted(expected_velocity) for a in expected[i]]
     assert update.theta.shape == model.theta.shape
-    assert np.array_equal(update.theta, np.concatenate([a.ravel() for a in head]))
+    assert np.array_equal(update.theta, np.concatenate([a.ravel() for a in arrays]))
 
     # pretrain trains every layer with its own seed schedule and no pull
     pretrain_seeds = [derive_seed(case["seed"], epoch) for epoch in range(epochs)]
@@ -508,7 +518,7 @@ def test_a_wrapping_tracer_sees_every_step_of_a_local_update(monkeypatch, prox_m
 
     for name in counts:
         monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
-    model = nn.build_mlp(8, (16,), 4, split_index=2, seed=16)
+    model = nn.build_mlp(8, (16,), 4, split_index=0, seed=16)
     opt = nn.OptimizerState(0.1, 0.5)
     fedprox_local_update(0, model, subset, 3, opt, prox_mu, 8, [1, 2, 3])
     steps = 3 * 5  # E epochs of ceil(37 / 8) batches
@@ -928,6 +938,15 @@ def _flops_per_sample(widths, split):
         if dense and index > split:
             backward += 2 * i * o
     return forward, backward
+
+
+def test_the_backward_charge_of_a_head_is_that_of_the_layers_from_its_split():
+    # the round loop charges backward_flops_per_sample(start.head())
+    for widths in ((8, 16, 4), (8, 16, 16, 4), (6, 5, 7, 3, 2)):
+        layers = nn.build_mlp(widths[0], widths[1:-1], widths[-1], 0, seed=1).layers
+        for split in range(len(layers)):
+            head = nn.Model(layers, split, widths[-1]).head()
+            assert nn.backward_flops_per_sample(head) == _flops_per_sample(widths, split)[1]
 
 
 @pytest.mark.parametrize("fraction", [1.0, 0.6])

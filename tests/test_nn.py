@@ -329,13 +329,33 @@ def test_backward_rejects_labels_that_are_not_integers(labels):
         nn.backward(model, np.ones((2, 5)), labels)
 
 
-def test_backward_only_touches_head_layers():
-    model = make_model(split_index=2, seed=6)  # layers: dense, relu, dense
-    batch = np.random.default_rng(8).normal(size=(4, 5))
-    labels = np.array([0, 1, 2, 3])
-    grads = nn.backward(model, batch, labels)
-    head = model.layers[2]
-    assert grads.shape == (head.weights.size + head.bias.size,)
+def test_the_heads_gradient_on_frozen_features_is_the_tail_of_the_whole_one():
+    # Training the head is training model.head() on layer_output's features:
+    # at every split of each architecture, and for one row and for several,
+    # that gradient is bitwise the whole model's gradient from the split on.
+    architectures = [
+        nn.build_mlp(5, (8,), 4, 0, seed=6).layers,
+        nn.build_mlp(5, (6, 5), 3, 0, seed=7).layers,
+        nn.build_mlp(4, (7, 3, 6), 5, 0, seed=8).layers,
+        (nn.ReluLayer(), *nn.build_mlp(5, (9, 4), 4, 0, seed=9).layers),
+    ]
+    rng = np.random.default_rng(8)
+    cases = 0
+    for layers in architectures:
+        model = nn.Model(layers, 0, layers[-1].out_dim)
+        for rows in (1, 7):
+            batch = rng.normal(scale=2.0, size=(rows, model.input_dim))
+            labels = rng.integers(0, model.num_classes, rows)
+            whole = nn.backward(model, batch, labels)
+            assert whole.shape == model.params.shape
+            for split in range(len(layers)):
+                split_model = nn.Model(layers, split, model.num_classes)
+                features = nn.layer_output(split_model, batch, split)
+                head = nn.backward(split_model.head(), features, labels)
+                assert head.shape == split_model.theta.shape
+                assert bitwise_equal(head, whole[whole.size - head.size :])
+                cases += 1
+    assert cases == 2 * (3 + 5 + 7 + 6)
 
 
 # --- sgd ---------------------------------------------------------------------
@@ -401,8 +421,8 @@ def test_sgd_rejects_a_gradient_of_the_wrong_length(size):
     # the head, dense 2, has 4 * 8 + 4 = 36 values
     model = make_model(split_index=2, seed=21)  # dense, relu, dense
     before = model.params.copy()
-    with pytest.raises(ShapeError, match="must match the head"):
-        nn.sgd_step(model, np.zeros(size), nn.OptimizerState(0.1))
+    with pytest.raises(ShapeError, match="must match the model's"):
+        nn.sgd_step(model.head(), np.zeros(size), nn.OptimizerState(0.1))
     assert bitwise_equal(model.params, before)
 
 
@@ -436,30 +456,35 @@ def test_training_keeps_the_head_in_one_flat_vector_per_buffer(head_views):
     model = make_model(split_index=2, seed=23, hidden=(6, 5))  # head: dense 2, relu, dense 4
     rng = np.random.default_rng(23)
     batch, labels = rng.normal(size=(6, 5)), rng.integers(0, 4, 6)
+    head_model, features = model.head(), nn.layer_output(model, batch, model.split_index)
     opt = nn.OptimizerState(0.1, 0.5)
     grad = np.empty_like(model.theta)
     params = model.params
     for _ in range(3):
-        assert nn.backward(model, batch, labels, out=grad) is grad
-        nn.sgd_step(model, grad, opt)
+        assert nn.backward(head_model, features, labels, out=grad) is grad
+        nn.sgd_step(head_model, grad, opt)
     assert model.params is params and opt.velocity.shape == model.theta.shape
     head = [a for i in (2, 4) for a in (model.layers[i].weights, model.layers[i].bias)]
     assert bitwise_equal(model.theta, np.concatenate([a.ravel() for a in head]))
     assert all(np.shares_memory(a, model.theta) for a in head)
     assert not np.shares_memory(model.layers[0].weights, model.theta)
     with pytest.raises(ShapeError, match="out has shape"):
-        nn.backward(model, batch, labels, out=np.empty(model.theta.size - 1))
+        nn.backward(head_model, features, labels, out=np.empty(model.theta.size - 1))
 
 
 def test_sgd_keeps_frozen_layers_bitwise_identical():
+    # the head is trained on the frozen features, as the round loop trains it
     model = make_model(split_index=2, seed=13)
     frozen_before = [model.layers[0].weights.copy(), model.layers[0].bias.copy()]
     rng = np.random.default_rng(14)
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
     batch = rng.normal(size=(8, 5))
     labels = rng.integers(0, 4, size=8)
+    head, features = model.head(), nn.layer_output(model, batch, model.split_index)
+    theta_before = model.theta.copy()
     for _ in range(25):
-        nn.sgd_step(model, nn.backward(model, batch, labels), opt)
+        nn.sgd_step(head, nn.backward(head, features, labels), opt)
+    assert not np.array_equal(model.theta, theta_before)
     assert np.array_equal(model.layers[0].weights, frozen_before[0])
     assert np.array_equal(model.layers[0].bias, frozen_before[1])
 
