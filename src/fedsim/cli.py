@@ -233,6 +233,12 @@ def _read_ini(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
+        if parser.defaults():
+            # configparser would copy these keys into every other section
+            raise ConfigError(
+                f"config file {path} has keys in [DEFAULT]; put each under "
+                "its own section"
+            )
         # values are interpolated as they are read out, so items() can fail too
         return {section: dict(parser.items(section)) for section in parser.sections()}
     except FileNotFoundError as exc:

@@ -1,8 +1,9 @@
 """Pretraining, then the round loop: client sampling, local updates, aggregation.
 
 The caller builds the start model once with `initial_model` (built from the
-master seed, then pretrained on the source domain) and hands it to
-`run_federation`, which trains it in place. A strategy name stands for one
+master seed, then pretrained whole on the source domain, the same for every
+strategy) and hands it to `run_federation`, which sets the split that the
+strategy trains and trains it in place. A strategy name stands for one
 entry of `STRATEGIES`: the part trained, the selector and the FedProx pull.
 One round samples the participating clients and runs one job each: select a
 per-round training subset, then run E local epochs on it. The uploaded
@@ -141,11 +142,6 @@ class FederationConfig:
                 f"(must be in [0, {last_dense}])"
             )
 
-    @property
-    def trained_split(self) -> int:
-        """The split of the model the strategy trains: 0 for the whole model."""
-        return 0 if STRATEGIES[self.strategy].whole_model else self.split_index
-
     def as_dict(self) -> dict:
         out = asdict(self)
         out["hidden_sizes"] = list(self.hidden_sizes)
@@ -217,12 +213,9 @@ def pretrain(
 ) -> nn.Model:
     """Train every layer on the source domain; returns a new model.
 
-    Training covers every layer of the model it is handed, so the copy is
-    trained whole and keeps the given split: the returned model is ready to
-    be fine-tuned as {frozen phi, head}.
+    Training covers every layer of the model it is handed, whatever its
+    split, and the copy keeps that split.
     """
-    if source is None or len(source) < 1:
-        raise ParameterError("pretraining needs a nonempty source dataset")
     trained = model.copy()
     opt = nn.OptimizerState(learning_rate=learning_rate, momentum=momentum)
     epoch_seeds = [derive_seed(seed, epoch) for epoch in range(epochs)]
@@ -234,7 +227,9 @@ def initial_model(config: FederationConfig, source: Dataset, train: Dataset) -> 
     """The model a run starts from: built from the master seed, then pretrained.
 
     The architecture follows `train`, the pretraining data is `source`, which
-    must share its feature width and class count.
+    must share its feature width and class count. The model is whole, at
+    split 0, and reads no strategy setting, so one pretrained model serves
+    every strategy; `run_federation` sets the split it trains.
     """
     if source.feature_dim != train.feature_dim or source.num_classes != train.num_classes:
         raise ConfigError("source dataset is incompatible with the training pool")
@@ -243,7 +238,7 @@ def initial_model(config: FederationConfig, source: Dataset, train: Dataset) -> 
         input_dim=train.feature_dim,
         hidden_sizes=config.hidden_sizes,
         num_classes=train.num_classes,
-        split_index=config.trained_split,
+        split_index=0,
         seed=derive_seed(master, streams.INIT),
     )
     return pretrain(
@@ -257,7 +252,7 @@ def initial_model(config: FederationConfig, source: Dataset, train: Dataset) -> 
     )
 
 
-def _local_update(
+def fedprox_local_update(
     client_id: int,
     model: nn.Model,
     data: Dataset,
@@ -267,14 +262,13 @@ def _local_update(
     batch_size: int,
     epoch_seeds: list[int],
 ) -> ClientUpdate:
-    """The body of both local updates; prox_mu = 0 is the plain update.
+    """Local update with a proximal pull mu * (theta - theta_t) added per step;
+    the round loop's one update call, at mu 0 for a strategy with no pull.
 
     Trains a copy of `model`, one fresh vector, which is the upload; `model`
-    itself is left as it is and anchors the FedProx pull. The round loop
-    hands it the global head, so the upload is a head vector.
+    itself is left as it is and is theta_t, the anchor of the pull. The round
+    loop hands it the global head, so the upload is a head vector.
     """
-    if len(data) < 1:
-        raise ParameterError("client update needs a nonempty selected subset")
     if len(epoch_seeds) < epochs:
         raise ParameterError(f"need {epochs} epoch seeds, got {len(epoch_seeds)}")
     if not prox_mu >= 0.0:
@@ -296,30 +290,11 @@ def client_local_update(
     batch_size: int,
     epoch_seeds: list[int],
 ) -> ClientUpdate:
-    """E epochs of mini-batch SGD on the selected subset.
-
-    Trains a copy of the given model (the global head as the client receives
-    it) and uploads the copy's parameters; the given model is unchanged.
-    """
-    return _local_update(client_id, model, selected, epochs, opt, 0.0, batch_size, epoch_seeds)
-
-
-def fedprox_local_update(
-    client_id: int,
-    model: nn.Model,
-    data: Dataset,
-    epochs: int,
-    opt: nn.OptimizerState,
-    prox_mu: float,
-    batch_size: int,
-    epoch_seeds: list[int],
-) -> ClientUpdate:
-    """Local update with a proximal pull mu * (theta - theta_t) added per step;
-    the round loop's one update call, at mu 0 for a strategy with no pull.
-
-    It trains a copy; theta_t, the given model's parameters, stays as is.
-    """
-    return _local_update(client_id, model, data, epochs, opt, prox_mu, batch_size, epoch_seeds)
+    """The local update with no proximal pull. No run calls it; the
+    benchmark's tracer (perfbench/tracing.py) still names it."""
+    return fedprox_local_update(
+        client_id, model, selected, epochs, opt, 0.0, batch_size, epoch_seeds
+    )
 
 
 class UpdateFold:
@@ -430,9 +405,10 @@ def run_federation(
 ) -> list[RoundReport]:
     """T rounds of select/update/aggregate, training `start` in place.
 
-    `start` is the pretrained global model from `initial_model`; its
-    architecture must match `train` and `config`, split included. After the
-    call it is the global model after the last round. `train` is the
+    `start` is the pretrained global model from `initial_model`; its widths
+    must match `train` and `config`, and its split is set here to the one
+    the strategy trains: 0 for the whole model, else `config.split_index`.
+    After the call it is the global model after the last round. `train` is the
     client-side pool covered by `partitions`; `test` is the held-out split
     evaluated after every round. Each participant's round is one job,
     selection then local update, run inline at `threads` 1 and on a pool of
@@ -458,14 +434,16 @@ def run_federation(
     start_widths = [start.input_dim] + [
         layer.out_dim for layer in start.layers if isinstance(layer, nn.DenseLayer)
     ]
-    split = config.trained_split
-    if start_widths != widths or start.split_index != split:
+    if start_widths != widths:
         raise ConfigError(
-            f"start model has widths {start_widths} and split {start.split_index}, "
-            f"the config and training pool need {widths} and split {split}"
+            f"start model has widths {start_widths}, the config and training pool "
+            f"need {widths}"
         )
 
     master = config.master_seed
+    strategy = STRATEGIES[config.strategy]
+    # the layers trained: the whole model, or the head above the config's split
+    start.split_index = 0 if strategy.whole_model else config.split_index
     # The head is stored in `start.theta`: aggregating into the head updates
     # `start`, which stays the global model, frozen part and all.
     head = start.head()
@@ -474,7 +452,6 @@ def run_federation(
     test_blocks = [slice(s, s + FROZEN_BLOCK_ROWS) for s in range(0, len(test), FROZEN_BLOCK_ROWS)]
     test_rows = _frozen_rows(start, test, test_blocks, head.input_dim)
     train_rows = _frozen_rows(start, train, [p.sample_indices for p in partitions], head.input_dim)
-    strategy = STRATEGIES[config.strategy]
     p_ds = 1.0 if strategy.selector == "all" else config.p_ds
     # at p_ds 1 every selector keeps everything, and none is charged a scoring pass
     selector = "all" if p_ds >= 1.0 else strategy.selector

@@ -44,6 +44,7 @@ from .errors import FormatError, NumericError, ParameterError, ShapeError
 
 CHECKPOINT_MAGIC = b"FEDFT1"
 PROB_FLOOR = 1e-12  # clamp applied to probabilities before any log
+_HALF_MAX = float(np.finfo(np.float64).max) / 2
 
 _KIND_DENSE = 0
 _KIND_RELU = 1
@@ -278,12 +279,18 @@ def softmax_with_temperature(logits: np.ndarray, rho: float) -> np.ndarray:
 
     Accepts a vector or a matrix (row-wise). rho < 1 sharpens ("hardens")
     the distribution, rho > 1 softens it, rho = 1 is the standard softmax.
+    A rho so small that logits / rho, or their shift by the row maximum,
+    could overflow is a NumericError, found before any arithmetic so that no
+    overflow warning is raised.
     """
     if not rho > 0.0:
         raise ParameterError(f"temperature rho must be > 0, got {rho}")
     z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
         raise ParameterError("logits must be finite")
+    # within half the float64 range, z / rho and its shifted values are finite
+    if not max(float(z.max()), -float(z.min())) / rho <= _HALF_MAX:
+        raise NumericError(f"temperature rho {rho!r} takes logits / rho out of float64 range")
     return _softmax(z / rho)
 
 

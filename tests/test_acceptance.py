@@ -62,12 +62,11 @@ def desk_inputs(config):
 def desk_run(config, inputs, hook=None):
     """Round reports of a run from a copy of the pretrained model in `inputs`.
 
-    Pretraining trains every layer whatever the split, so one pretrained model
-    serves every strategy; only the copy's split is the strategy's own.
+    One pretrained model serves every strategy: the run sets the split it
+    trains, and trains its copy in place.
     """
     pretrained, train, test, partitions = inputs
     start = pretrained.copy()
-    start.split_index = config.federation.trained_split
     return run_federation(
         config.federation, start, train, partitions, test, upload_hook=hook
     )

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -495,6 +496,34 @@ def test_entropy_hist_is_the_histogram_of_a_zero_round_run(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("entropy-hist", ["--analysis.histogram_rhos", "1e-320"]),
+        ("run", ["--strategy", "fedft_eds", "--rho", "1e-320"]),
+    ],
+    ids=["entropy-hist", "run"],
+)
+def test_a_temperature_that_overflows_the_logits_exits_2(tmp_path, capsys, command, flags):
+    out = tmp_path / "tiny"
+    generate(out)
+    capsys.readouterr()
+    assert run_cli([command, "--out", out, "--seed", 5, *TINY, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "rho 1e-320" in err and "Traceback" not in err
+    if command == "run":
+        assert re.search(r"round 1, client \d+: ", err)
+
+
+@pytest.mark.parametrize("strategy, split", [("fedavg", 0), ("fedft_eds", 2)])
+def test_the_checkpoint_records_the_split_the_strategy_trained(tmp_path, strategy, split):
+    out = tmp_path / strategy
+    generate(out)
+    settings = [*TINY, "--federation.split_index", "2", "--strategy", strategy]
+    assert run_cli(["run", "--out", out, "--seed", 5, *settings]) == 0
+    assert nn.load_model(out / "model.ckpt").split_index == split
+
+
 def test_entropy_hist_does_not_partition_the_pool(tmp_path):
     # 200 clients cannot share the 52 TINY training samples, but entropy-hist
     # only pretrains, so the client count must not matter to it
@@ -650,8 +679,15 @@ def test_analyze_cka_runs_one_round_whatever_the_dotted_rounds_says(tmp_path, ca
         b"rounds = 1\n",
         b"[federation]\nstrategy = fed%avg\n",
         b"[federation]\nstrategy = fed\xffavg\n",
+        # configparser copies [DEFAULT] keys into every other section
+        b"[DEFAULT]\nrounds = 5\n",
+        b"[DEFAULT]\nrounds = 5\n[federation]\nlocal_epochs = 2\n",
+        b"[DEFAULT]\nrounds = 5\n[dataset]\nnum_classes = 4\n",
     ],
-    ids=["duplicate key", "no section header", "bare percent", "not utf-8"],
+    ids=[
+        "duplicate key", "no section header", "bare percent", "not utf-8",
+        "default alone", "default beside federation", "default beside dataset",
+    ],
 )
 def test_a_malformed_config_file_exits_2_naming_it(tmp_path, capsys, text):
     config_path = tmp_path / "exp.ini"

@@ -123,11 +123,6 @@ def test_each_strategy_name_resolves_to_its_three_settings():
         "fedft_eds": (False, "entropy", False),
         "fedft_all": (False, "all", False),
     }
-    assert small_config(strategy="fedavg", split_index=4).trained_split == 0
-    assert small_config(strategy="fedprox", split_index=4).trained_split == 0
-    assert small_config(strategy="fedft_eds", split_index=4).trained_split == 4
-    for name in ("fedft_rds", "fedft_all"):
-        assert small_config(strategy=name, split_index=2).trained_split == 2
 
 
 # --- pretrain ------------------------------------------------------------------
@@ -462,9 +457,7 @@ def test_local_update_and_pretrain_equal_the_per_layer_formulas(head_views, case
     )
     given = model.params.copy()
     opt = nn.OptimizerState(lr, momentum)
-    update = federation._local_update(
-        0, head, rows, epochs, opt, case["mu"], batch_size, seeds
-    )
+    update = fedprox_local_update(0, head, rows, epochs, opt, case["mu"], batch_size, seeds)
     assert np.array_equal(model.params, given)
     trained = head.copy()
     np.copyto(trained.params, update.theta)
@@ -721,10 +714,46 @@ def test_pretrained_weights_do_not_depend_on_the_strategy():
         initial_model(small_config(strategy=s), source, train) for s in federation.STRATEGIES
     ]
     for model in models[1:]:
+        assert np.array_equal(model.params, models[0].params)
         for a, b in zip(model.layers, models[0].layers):
             if isinstance(a, nn.DenseLayer):
                 assert np.array_equal(a.weights, b.weights)
                 assert np.array_equal(a.bias, b.bias)
+    assert all(model.split_index == 0 for model in models)
+
+
+def test_pretraining_trains_only_whole_models(monkeypatch):
+    source, train, _, _ = small_setup()
+    splits, backward = [], nn.backward
+
+    def spy(model, *args, **kwargs):
+        splits.append(model.split_index)
+        return backward(model, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "backward", spy)
+    for strategy in federation.STRATEGIES:
+        initial_model(small_config(strategy=strategy, split_index=2), source, train)
+    assert splits and set(splits) == {0}
+
+
+@pytest.mark.parametrize("strategy", federation.STRATEGIES)
+def test_the_run_sets_the_split_its_strategy_trains(strategy):
+    # whatever split the start model was built at, the run trains the same
+    # layers and ends at the strategy's own split
+    source, train, test, parts = small_setup()
+    config = small_config(strategy=strategy, split_index=2, rounds=2)
+    pretrained = initial_model(config, source, train)
+    last_dense = nn.default_split_index(config.hidden_sizes)
+    results = []
+    for split in (0, config.split_index, last_dense):
+        start = nn.Model(pretrained.layers, split, pretrained.num_classes)
+        reports = run_federation(config, start, train, parts, test)
+        trained = 0 if strategy in ("fedavg", "fedprox") else config.split_index
+        assert start.split_index == trained
+        results.append((reports, start.params))
+    for reports, params in results[1:]:
+        assert reports == results[0][0]
+        assert np.array_equal(params, results[0][1])
 
 
 def test_single_client_fedavg_equals_centralized_training():
@@ -862,26 +891,18 @@ def test_run_federation_rejects_a_test_set_unlike_train(change):
         run_federation(config, start, train, parts, _other_shape(test, **change))
 
 
-@pytest.mark.parametrize(
-    "mismatch",
-    ["input width", "hidden sizes", "class count", "split", "fedavg split"],
-)
+@pytest.mark.parametrize("mismatch", ["input width", "hidden sizes", "class count"])
 def test_run_federation_rejects_a_start_model_unlike_config_and_train(mismatch):
     source, train, test, parts = small_setup()
     config = small_config()
     widths = dict(input_dim=8, hidden_sizes=config.hidden_sizes, num_classes=4)
-    split = config.split_index
     if mismatch == "input width":
         widths["input_dim"] = 7
     elif mismatch == "hidden sizes":
         widths["hidden_sizes"] = (16, 15)
-    elif mismatch == "class count":
+    else:
         widths["num_classes"] = 5
-    elif mismatch == "split":
-        split = 2
-    else:  # fedavg trains the whole model, so a head-only start is wrong for it
-        config = small_config(strategy="fedavg")
-    start = nn.build_mlp(**widths, split_index=split, seed=1)
+    start = nn.build_mlp(**widths, split_index=0, seed=1)
     with pytest.raises(ConfigError, match="start model"):
         run_federation(config, start, train, parts, test)
 

@@ -169,6 +169,9 @@ def test_softmax_hardening_forces_one_hot():
     probs = nn.softmax_with_temperature(np.array([1.0, 2.0]), 0.01)
     assert probs[0] < 1e-40
     assert abs(probs[1] - 1.0) < 1e-12
+    # far below 0.01, but logits / rho still fit in float64
+    probs = nn.softmax_with_temperature(np.array([20.0, -20.0]), 1e-300)
+    assert np.array_equal(probs, np.array([1.0, 0.0]))
 
 
 def test_softmax_shift_invariance():
@@ -201,6 +204,13 @@ def test_softmax_rejects_bad_temperature():
         nn.softmax_with_temperature(np.array([1.0, 2.0]), 0.0)
     with pytest.raises(ParameterError):
         nn.softmax_with_temperature(np.array([1.0, 2.0]), -1.0)
+
+
+@pytest.mark.parametrize("rho", [1e-320, 5e-324, 2e-307])
+def test_softmax_rejects_a_temperature_that_overflows_the_logits(rho):
+    # 2e-307 keeps every logit / rho finite, but not their spread
+    with pytest.raises(NumericError, match=f"rho {rho!r}"):
+        nn.softmax_with_temperature(np.array([[20.0, -20.0], [1.0, 2.0]]), rho)
 
 
 def test_softmax_matrix_rows():

@@ -17,7 +17,8 @@ of them the same command matrix runs at the desk preset, seeds 7 and
   `fedprox --federation.prox_mu 0`;
 - `run` with all analyses at `--threads` 1 for `fedft_eds` at
   `--federation.split_index 4`, a head of one dense layer (the preset's
-  split is 2, and `fedavg` and `fedprox` train the whole model);
+  split is 2, and `fedavg` and `fedprox` train the whole model), and at
+  `--federation.split_index 0`, a head strategy that trains the whole model;
 - `analyze-cka` and `entropy-hist` at both thread counts, and again at
   `--threads` 1 with every analysis toggle on, which only `run` reads;
 - `compare` over the ten runs of the seed.
@@ -27,7 +28,7 @@ directory, so paths printed or recorded are alike. Every file written and
 every command's stdout is then compared byte for byte; `manifest.json`
 files are compared as JSON without `started_utc` and `finished_utc`. The
 exit status is 1 if anything differs or a command fails, 0 otherwise. The
-matrix runs 48 commands per side and takes a few minutes; it is not part
+matrix runs 50 commands per side and takes a few minutes; it is not part
 of the pytest suite.
 """
 
@@ -51,8 +52,11 @@ FALLBACKS = (
     ("fedft_rds_p1", ["--strategy", "fedft_rds", "--p-ds", "1.0"]),
     ("fedprox_mu0", ["--strategy", "fedprox", "--federation.prox_mu", "0"]),
 )
-# fedft_eds with only the classifier in the head
-DEEP_SPLIT = ("fedft_eds_split4", ["--strategy", "fedft_eds", "--federation.split_index", "4"])
+# fedft_eds with only the classifier in the head, and with the whole model
+SPLITS = tuple(
+    (f"fedft_eds_split{split}", ["--strategy", "fedft_eds", "--federation.split_index", split])
+    for split in ("4", "0")
+)
 THREADS = (1, 3)
 PRESET = ["--preset", "desk-default"]
 # runs read the datasets that the seed's `generate` wrote, one level up
@@ -89,11 +93,11 @@ def matrix() -> list[tuple[str, list[str]]]:
             commands.append((f"{out}.stdout", [
                 "run", *seeded, *flags, "--out", out, *DATASETS, *ANALYSES,
             ]))
-        name, flags = DEEP_SPLIT
-        out = f"{at}/{name}"
-        commands.append((f"{out}.stdout", [
-            "run", *seeded, *flags, "--threads", "1", "--out", out, *DATASETS, *ANALYSES,
-        ]))
+        for name, flags in SPLITS:
+            out = f"{at}/{name}"
+            commands.append((f"{out}.stdout", [
+                "run", *seeded, *flags, "--threads", "1", "--out", out, *DATASETS, *ANALYSES,
+            ]))
         for command in ("analyze-cka", "entropy-hist"):
             for threads in THREADS:
                 out = f"{at}/{command}_t{threads}"
