@@ -427,39 +427,58 @@ def _round_one_capture(start: nn.Model):
 
 
 @contextmanager
+def _staged(out_dir: Path, outputs: dict[str, Path]):
+    """Yield `stage(name)`, the temporary path that output `name` is written
+    to, next to its final path in `out_dir`; `outputs` gets the final path.
+
+    When the block exits normally every staged file is renamed into place;
+    when it raises, every one is deleted, so a failed command leaves the
+    directory as it found it.
+    """
+    staged: dict[Path, Path] = {}
+
+    def stage(name: str) -> Path:
+        outputs[name] = out_dir / name
+        staged[outputs[name]] = out_dir / f"{name}.tmp"
+        return staged[outputs[name]]
+
+    try:
+        yield stage
+    except BaseException:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        raise
+    for path, tmp in staged.items():
+        os.replace(tmp, path)
+
+
+@contextmanager
 def _selection_dump(path: Path, partitions: list[ClientPartition], pool_size: int):
-    """Yield a selection hook that writes each client's dump rows as it fires.
+    """Yield a selection hook that writes each client's dump rows to `path`
+    as it fires.
 
     One row per sample of the client's partition, in the partition's order:
     round, client id, sample index, entropy (empty without entropy scores)
-    and 1 if the sample was selected, else 0. The rows go to a temporary
-    file next to `path`, renamed into place when the block exits normally
-    and deleted when it raises, so a failed run leaves no dump.
+    and 1 if the sample was selected, else 0.
     """
-    tmp = path.with_name(path.name + ".tmp")
     selected = np.zeros(pool_size, dtype=np.uint8)  # reused 0/1 flags over the pool
-    try:
-        header = ["round", "client_id", "sample_index", "entropy", "selected"]
-        with open_csv(tmp, header) as writer:
+    header = ["round", "client_id", "sample_index", "entropy", "selected"]
+    with open_csv(path, header) as writer:
 
-            def hook(round_no: int, client_id: int, result) -> None:
-                indices = partitions[client_id].sample_indices
-                selected[result.selected_indices] = 1
-                flags = selected[indices].tolist()
-                selected[result.selected_indices] = 0
-                if result.entropies is None:
-                    entropies = repeat("")
-                else:
-                    entropies = map(repr, result.entropies.tolist())  # the strings _fmt gives
-                writer.writerows(
-                    zip(repeat(round_no), repeat(client_id), indices.tolist(), entropies, flags)
-                )
+        def hook(round_no: int, client_id: int, result) -> None:
+            indices = partitions[client_id].sample_indices
+            selected[result.selected_indices] = 1
+            flags = selected[indices].tolist()
+            selected[result.selected_indices] = 0
+            if result.entropies is None:
+                entropies = repeat("")
+            else:
+                entropies = map(repr, result.entropies.tolist())  # the strings _fmt gives
+            writer.writerows(
+                zip(repeat(round_no), repeat(client_id), indices.tolist(), entropies, flags)
+            )
 
-            yield hook
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
+        yield hook
 
 
 def _fmt(value: float) -> str:
@@ -506,61 +525,56 @@ def cmd_run(args: argparse.Namespace) -> int:
     captured, capture = _round_one_capture(start)
     outputs: dict[str, Path] = {}
     lines: list[str] = []
-    if trains:
-        partitions = _partition(config, train)
-        dump = nullcontext()
-        if "selection_dump" in analyses:
-            outputs["selection_dump.csv"] = out_dir / "selection_dump.csv"
-            dump = _selection_dump(outputs["selection_dump.csv"], partitions, len(train))
-        with dump as selection_hook:
-            reports = run_federation(
-                config.federation,
-                start,
-                train,
-                partitions,
-                test,
-                threads=args.threads,
-                upload_hook=capture if "cka" in analyses else None,
-                selection_hook=selection_hook,
-            )
+    # every output is renamed into place only once all of them are written
+    with _staged(out_dir, outputs) as stage:
+        if trains:
+            partitions = _partition(config, train)
+            dump = nullcontext()
+            if "selection_dump" in analyses:
+                dump = _selection_dump(stage("selection_dump.csv"), partitions, len(train))
+            with dump as selection_hook:
+                reports = run_federation(
+                    config.federation,
+                    start,
+                    train,
+                    partitions,
+                    test,
+                    threads=args.threads,
+                    upload_hook=capture if "cka" in analyses else None,
+                    selection_hook=selection_hook,
+                )
 
-    if not view:
-        outputs["reports.csv"] = out_dir / "reports.csv"
-        write_reports_csv(reports, config.federation.strategy, outputs["reports.csv"])
-        outputs["model.ckpt"] = out_dir / "model.ckpt"
-        nn.save_model(start, outputs["model.ckpt"])
+        if not view:
+            write_reports_csv(reports, config.federation.strategy, stage("reports.csv"))
+            nn.save_model(start, stage("model.ckpt"))
 
-    if "cka" in analyses:
-        # one cka_<level>.csv per level over the round-1 models in client-id order
-        captured.sort(key=lambda item: item[0])
-        models = [m for _, m in captured]
-        for level in analysis.LAYER_LEVELS:
-            matrix = analysis.pairwise_cka(models, test, level)
-            path = out_dir / f"cka_{level}.csv"
-            write_csv(
-                path,
-                [str(cid) for cid, _ in captured],
-                ([_fmt(v) for v in row] for row in matrix.values),
-            )
-            outputs[path.name] = path
-            mean = analysis.mean_offdiagonal(matrix)
-            lines.append(f"{level}: mean off-diagonal CKA {mean:.4f}")
+        if "cka" in analyses:
+            # one cka_<level>.csv per level over the round-1 models in client-id order
+            captured.sort(key=lambda item: item[0])
+            models = [m for _, m in captured]
+            for level in analysis.LAYER_LEVELS:
+                matrix = analysis.pairwise_cka(models, test, level)
+                write_csv(
+                    stage(f"cka_{level}.csv"),
+                    [str(cid) for cid, _ in captured],
+                    ([_fmt(v) for v in row] for row in matrix.values),
+                )
+                mean = analysis.mean_offdiagonal(matrix)
+                lines.append(f"{level}: mean off-diagonal CKA {mean:.4f}")
 
-    if "entropy_histogram" in analyses:
-        # one entropy_hist_rho<rho>.csv per temperature of start's predictions on train
-        rhos = config.analysis["histogram_rhos"]
-        bins = config.analysis["histogram_bins"]
-        edges = analysis.histogram_edges(train.num_classes, bins)
-        for rho, counts in zip(rhos, analysis.entropy_histogram(start, train, rhos, bins)):
-            path = out_dir / _histogram_file_name(rho)
-            write_csv(
-                path,
-                ["bin_low", "bin_high", "count"],
-                ([_fmt(edges[i]), _fmt(edges[i + 1]), int(n)] for i, n in enumerate(counts)),
-            )
-            outputs[path.name] = path
-            low_half = int(counts[: len(counts) // 2].sum())
-            lines.append(f"rho={rho:g}: {low_half}/{int(counts.sum())} samples in the lower half")
+        if "entropy_histogram" in analyses:
+            # one entropy_hist_rho<rho>.csv per temperature of start's predictions on train
+            rhos = config.analysis["histogram_rhos"]
+            bins = config.analysis["histogram_bins"]
+            edges = analysis.histogram_edges(train.num_classes, bins)
+            for rho, counts in zip(rhos, analysis.entropy_histogram(start, train, rhos, bins)):
+                write_csv(
+                    stage(_histogram_file_name(rho)),
+                    ["bin_low", "bin_high", "count"],
+                    ([_fmt(edges[i]), _fmt(edges[i + 1]), int(n)] for i, n in enumerate(counts)),
+                )
+                low_half, total = int(counts[: len(counts) // 2].sum()), int(counts.sum())
+                lines.append(f"rho={rho:g}: {low_half}/{total} samples in the lower half")
 
     write_manifest(
         out_dir, args.command, config, _dataset_paths(config, out_dir), outputs, started

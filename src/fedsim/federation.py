@@ -26,6 +26,7 @@ import contextvars
 import csv
 import logging
 import math
+import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -167,14 +168,37 @@ class RoundReport:
     total_selected: int = 0
 
 
+@dataclass
+class Scratch:
+    """The vectors a local update trains with besides its model, each laid
+    out like the trained parameters: the gradient, the FedProx pull (None
+    without one) and the optimizer's velocity."""
+
+    grad: np.ndarray
+    pull: Optional[np.ndarray]
+    opt: nn.OptimizerState
+
+    @classmethod
+    def like(
+        cls, params: np.ndarray, learning_rate: float, momentum: float, proximal: bool
+    ) -> "Scratch":
+        """Fresh vectors laid out like `params`, the velocity zero; a pull
+        only if `proximal`."""
+        return cls(
+            np.empty_like(params),
+            np.empty_like(params) if proximal else None,
+            nn.OptimizerState(learning_rate, momentum, np.zeros_like(params)),
+        )
+
+
 def _run_epochs(
     model: nn.Model,
     features: np.ndarray,
     labels: np.ndarray,
     epochs: int,
-    opt: nn.OptimizerState,
     batch_size: int,
     epoch_seeds: list[int],
+    scratch: Scratch,
     prox_mu: float = 0.0,
     anchor: Optional[np.ndarray] = None,
 ) -> None:
@@ -182,19 +206,17 @@ def _run_epochs(
     per epoch from the given seeds.
 
     A nonzero prox_mu adds the FedProx pull mu * (params - anchor) to every
-    gradient, `anchor` being laid out like `model.params` too. The gradient,
-    and the pull if there is one, each have one vector for every step.
+    gradient, `anchor` being laid out like `model.params` too. Every step
+    writes the vectors of `scratch`, so training allocates none of its own.
     """
-    params = model.params
-    grad = np.empty_like(params)
-    pull = np.empty_like(params) if prox_mu != 0.0 else None
+    params, grad, pull, opt = model.params, scratch.grad, scratch.pull, scratch.opt
     n = features.shape[0]
     for epoch in range(epochs):
         order = derive_rng(epoch_seeds[epoch]).permutation(n)
         for start in range(0, n, batch_size):
             chosen = order[start : start + batch_size]
             nn.backward(model, features[chosen], labels[chosen], out=grad)
-            if pull is not None:
+            if prox_mu != 0.0:
                 # kept as g + mu * (params - anchor): another grouping changes bits
                 np.subtract(params, anchor, out=pull)
                 pull *= prox_mu
@@ -217,9 +239,9 @@ def pretrain(
     split, and the copy keeps that split.
     """
     trained = model.copy()
-    opt = nn.OptimizerState(learning_rate=learning_rate, momentum=momentum)
+    scratch = Scratch.like(trained.params, learning_rate, momentum, proximal=False)
     epoch_seeds = [derive_seed(seed, epoch) for epoch in range(epochs)]
-    _run_epochs(trained, source.features, source.labels, epochs, opt, batch_size, epoch_seeds)
+    _run_epochs(trained, source.features, source.labels, epochs, batch_size, epoch_seeds, scratch)
     return trained
 
 
@@ -257,25 +279,30 @@ def fedprox_local_update(
     model: nn.Model,
     data: Dataset,
     epochs: int,
-    opt: nn.OptimizerState,
     prox_mu: float,
     batch_size: int,
     epoch_seeds: list[int],
+    client: nn.Model,
+    scratch: Scratch,
 ) -> ClientUpdate:
     """Local update with a proximal pull mu * (theta - theta_t) added per step;
     the round loop's one update call, at mu 0 for a strategy with no pull.
 
-    Trains a copy of `model`, one fresh vector, which is the upload; `model`
-    itself is left as it is and is theta_t, the anchor of the pull. The round
-    loop hands it the global head, so the upload is a head vector.
+    Trains `client`, a copy of `model` whose vector is the upload, in place
+    with the vectors of `scratch`, after zeroing its velocity; it allocates
+    no vector the size of the model. `model` itself is left as it is and is
+    theta_t, the anchor of the pull. The round loop hands it the global head
+    and makes `client` and `scratch` on its own thread.
     """
     if len(epoch_seeds) < epochs:
         raise ParameterError(f"need {epochs} epoch seeds, got {len(epoch_seeds)}")
     if not prox_mu >= 0.0:
         raise ParameterError(f"prox_mu must be >= 0, got {prox_mu}")
-    client = model.copy()
+    if prox_mu != 0.0 and scratch.pull is None:
+        raise ParameterError("a proximal update needs a scratch set with a pull vector")
+    scratch.opt.velocity.fill(0.0)
     _run_epochs(
-        client, data.features, data.labels, epochs, opt, batch_size, epoch_seeds, prox_mu,
+        client, data.features, data.labels, epochs, batch_size, epoch_seeds, scratch, prox_mu,
         model.params,
     )
     return ClientUpdate(client_id=client_id, theta=client.params, selected_count=len(data))
@@ -286,14 +313,15 @@ def client_local_update(
     model: nn.Model,
     selected: Dataset,
     epochs: int,
-    opt: nn.OptimizerState,
     batch_size: int,
     epoch_seeds: list[int],
+    client: nn.Model,
+    scratch: Scratch,
 ) -> ClientUpdate:
     """The local update with no proximal pull. No run calls it; the
     benchmark's tracer (perfbench/tracing.py) still names it."""
     return fedprox_local_update(
-        client_id, model, selected, epochs, opt, 0.0, batch_size, epoch_seeds
+        client_id, model, selected, epochs, 0.0, batch_size, epoch_seeds, client, scratch
     )
 
 
@@ -304,15 +332,15 @@ class UpdateFold:
     fixed order and only the running total is held. `total` is the summed
     selected count of every update that will be added. This is the one
     aggregation path: `aggregate` adds a sorted list, the round loop each
-    update as it arrives. Each add is one weighted sum into one accumulator
-    shaped like the first upload, which every later upload must match.
+    update as it arrives. Each add is one weighted sum into one accumulator,
+    made with the fold and of the given shape, which every upload must match.
     """
 
-    def __init__(self, total: int):
+    def __init__(self, total: int, shape: tuple[int, ...]):
         self.total = total
         self.folded = 0
         self.last_id: int | None = None
-        self.acc: np.ndarray | None = None
+        self.acc = np.zeros(shape)
 
     def add(self, update: ClientUpdate) -> None:
         if self.last_id is not None and update.client_id <= self.last_id:
@@ -322,9 +350,7 @@ class UpdateFold:
             )
         if update.selected_count < 1:
             raise ProtocolError("every update must carry selected_count >= 1")
-        if self.acc is None:
-            self.acc = np.zeros(update.theta.shape)
-        elif update.theta.shape != self.acc.shape:
+        if update.theta.shape != self.acc.shape:
             raise ProtocolError(f"client {update.client_id} uploaded mismatched parameter shapes")
         weight = update.selected_count / self.total
         self.acc += weight * update.theta
@@ -332,8 +358,6 @@ class UpdateFold:
         self.folded += update.selected_count
 
     def result(self) -> np.ndarray:
-        if self.acc is None:
-            raise ParameterError("aggregate needs at least one client update")
         if self.folded != self.total:
             raise ProtocolError(
                 f"folded selected counts sum to {self.folded}, expected {self.total}"
@@ -347,7 +371,9 @@ def aggregate(updates: list[ClientUpdate]) -> np.ndarray:
     Summation runs in ascending client id order so the result is independent
     of completion order.
     """
-    fold = UpdateFold(sum(u.selected_count for u in updates))
+    if not updates:
+        raise ParameterError("aggregate needs at least one client update")
+    fold = UpdateFold(sum(u.selected_count for u in updates), updates[0].theta.shape)
     for update in sorted(updates, key=lambda u: u.client_id):
         fold.add(update)
     return fold.result()
@@ -413,13 +439,15 @@ def run_federation(
     evaluated after every round. Each participant's round is one job,
     selection then local update, run inline at `threads` 1 and on a pool of
     `threads` workers otherwise, with at most 2 * threads jobs submitted
-    ahead of the one being folded. A local update copies the global head
-    into one fresh vector, trains it and uploads that vector; after the
-    round one copy puts the folded sum into the global head, which is
-    stored in `start.theta`. Hooks fire on the main thread in ascending
-    client order, `selection_hook` before `upload_hook`, as each client's
-    update is folded into the global head; `upload_hook` gets the client's
-    head vector, laid out like `start.theta`. Returns the round reports.
+    ahead of the one being folded. Every head-sized vector a job trains is
+    made on the calling thread: its upload, a copy of the global head made
+    as the job is submitted, and a scratch set it takes for the job and
+    gives back. After the round one copy puts the folded sum into the
+    global head, which is stored in `start.theta`. Hooks fire on the main
+    thread in ascending client order, `selection_hook` before `upload_hook`,
+    as each client's update is folded into the global head; `upload_hook`
+    gets the client's head vector, laid out like `start.theta`. Returns the
+    round reports.
     """
     config.validate()
     if len(partitions) != config.num_clients:
@@ -474,9 +502,12 @@ def run_federation(
     cumulative_time = 0.0
     reports: list[RoundReport] = []
 
-    def client_round(round_no: int, client_id: int):
-        """Select, then train a copy of the global head on the selection:
-        (selection, update). A NumericError names the round and the client."""
+    def client_round(round_no: int, client_id: int, client: nn.Model, scratches):
+        """Select, then train `client`, the job's copy of the global head, on
+        the selection with a scratch set taken from `scratches` and given
+        back: (selection, update). A NumericError names the round and the
+        client."""
+        scratch = scratches.get(block=False)  # never empty: one set per worker
         try:
             part = partitions[client_id]
             if selector == "entropy":
@@ -486,7 +517,6 @@ def run_federation(
             else:
                 chosen = select_all(part)
             subset = train_rows.subset(chosen.selected_indices)
-            opt = nn.OptimizerState(learning_rate=config.learning_rate, momentum=config.momentum)
             epoch_seeds = [
                 derive_seed(master, streams.SHUFFLE, round_no, client_id, epoch)
                 for epoch in range(config.local_epochs)
@@ -496,13 +526,16 @@ def run_federation(
                 head,
                 subset,
                 config.local_epochs,
-                opt,
                 prox_mu,
                 config.batch_size,
                 epoch_seeds,
+                client,
+                scratch,
             )
         except NumericError as exc:
             raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
+        finally:
+            scratches.put(scratch)
         return chosen, update
 
     # No worker thread starts unless a job is submitted, i.e. threads > 1.
@@ -511,9 +544,23 @@ def run_federation(
         def client_rounds(round_no: int, clients: list[int]):
             """client_round for each client in client order; at threads > 1 at
             most 2 * threads jobs run ahead, so updates cannot pile up behind
-            a slow hook."""
+            a slow hook.
+
+            The jobs' head-sized vectors are made here, on the calling
+            thread, so that no worker's malloc arena keeps one: each job's
+            upload, a copy of the global head, which does not change during
+            the round, and one scratch set per worker in this round's own
+            queue. A job holds one set at a time, so no job waits for one.
+            The queue is never emptied, so a job that starts after another
+            has failed still finds its set; it goes with the round.
+            """
+            scratches = queue.SimpleQueue()
+            for _ in range(threads):
+                scratches.put(
+                    Scratch.like(head.params, config.learning_rate, config.momentum, prox_mu != 0.0)
+                )
             if threads == 1:
-                yield from (client_round(round_no, c) for c in clients)
+                yield from (client_round(round_no, c, head.copy(), scratches) for c in clients)
                 return
             ahead = deque()
             try:
@@ -521,7 +568,9 @@ def run_federation(
                     # each job runs in a copy of the caller's context, so
                     # numpy's error state holds on the workers too
                     job = contextvars.copy_context().run
-                    ahead.append(pool.submit(job, client_round, round_no, client_id))
+                    ahead.append(
+                        pool.submit(job, client_round, round_no, client_id, head.copy(), scratches)
+                    )
                     if len(ahead) > 2 * threads:
                         yield ahead.popleft().result()
                 while ahead:
@@ -539,7 +588,12 @@ def run_federation(
                     derive_seed(master, streams.PARTICIPANTS, round_no),
                 )
             ]
-            fold = UpdateFold(sum(kept_counts[c] for c in participants))
+            # The fold's accumulator is made before the round's other
+            # head-sized vectors, and those are all freed before evaluation,
+            # so the top of the heap is free for evaluation's layer outputs.
+            # Else glibc maps them afresh: +5 MiB peak RSS for a fedprox run
+            # of the 32-256-256-10 model at --threads 1.
+            fold = UpdateFold(sum(kept_counts[c] for c in participants), head.params.shape)
             for chosen, update in client_rounds(round_no, participants):
                 if selection_hook is not None:
                     selection_hook(round_no, update.client_id, chosen)
@@ -547,6 +601,7 @@ def run_federation(
                     upload_hook(round_no, update.client_id, update.theta)
                 cumulative_time += device_seconds[update.client_id]
                 fold.add(update)
+            del chosen, update
 
             np.copyto(head.theta, fold.result())
             accuracy, loss = evaluate_model(head, test_rows)

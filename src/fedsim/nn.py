@@ -196,13 +196,13 @@ class Model:
 class OptimizerState:
     """Heavy-ball SGD state: v <- momentum * v + g, theta <- theta - lr * v.
 
-    `velocity` is laid out like the trained model's `params`; the first step
-    makes it, as zeros.
+    `velocity` is laid out like the trained model's `params`. A given one is
+    stepped as it is; without one, the first step makes it, as zeros.
     """
 
     learning_rate: float
     momentum: float = 0.0
-    velocity: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    velocity: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         # 0 is allowed so a step can accumulate velocity without moving
@@ -286,10 +286,12 @@ def softmax_with_temperature(logits: np.ndarray, rho: float) -> np.ndarray:
     if not rho > 0.0:
         raise ParameterError(f"temperature rho must be > 0, got {rho}")
     z = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(z).all():
+    # max and min are NaN or infinite when any logit is, so they check it too
+    high, low = float(z.max()), float(z.min())
+    if not (math.isfinite(high) and math.isfinite(low)):
         raise ParameterError("logits must be finite")
     # within half the float64 range, z / rho and its shifted values are finite
-    if not max(float(z.max()), -float(z.min())) / rho <= _HALF_MAX:
+    if not max(high, -low) / rho <= _HALF_MAX:
         raise NumericError(f"temperature rho {rho!r} takes logits / rho out of float64 range")
     return _softmax(z / rho)
 

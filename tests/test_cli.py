@@ -633,6 +633,20 @@ def test_a_failed_run_leaves_no_selection_dump(tmp_path, capsys, monkeypatch):
     assert not temporary.exists()
 
 
+def test_a_run_whose_analysis_fails_leaves_the_directory_as_generate_left_it(tmp_path, capsys):
+    # the rounds finish and the dump, reports and checkpoint are written;
+    # then the histogram's temperature overflows the logits
+    out = tmp_path / "failed"
+    generate(out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = run_cli([
+        "run", "--out", out, "--seed", 5, *TINY, *TOGGLES, "--analysis.histogram_rhos", "1e-320",
+    ])
+    assert code == 2
+    assert "rho 1e-320" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def _traced_peak(out, *flags):
     """tracemalloc's peak in bytes over one TINY `run` in `out`."""
     gc.collect()  # garbage of earlier runs moves the peak by tens of KB

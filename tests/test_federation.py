@@ -21,6 +21,7 @@ from fedsim.federation import (
     SECONDS_PER_FLOP,
     ClientUpdate,
     FederationConfig,
+    Scratch,
     UpdateFold,
     aggregate,
     client_local_update,
@@ -72,6 +73,11 @@ def head_and_rows(model, dataset):
     features: what the round loop trains a client's copy of."""
     rows = nn.layer_output(model, dataset.features, model.split_index)
     return model.head(), data.Dataset(rows, dataset.labels, dataset.num_classes)
+
+
+def scratch_for(model, lr, momentum, prox_mu=0.0):
+    """A scratch set for a local update of `model`, as the round loop makes it."""
+    return Scratch.like(model.params, lr, momentum, proximal=prox_mu != 0.0)
 
 
 def pretrained_run(config, source, train, parts, test, **kwargs):
@@ -197,8 +203,8 @@ def test_local_update_zero_learning_rate_keeps_theta():
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=6)
     before = model.theta.copy()
     head, subset = head_and_rows(model, train.subset(parts[0].sample_indices))
-    opt = nn.OptimizerState(learning_rate=0.0, momentum=0.5)
-    update = client_local_update(0, head, subset, 3, opt, 16, [1, 2, 3])
+    scratch = scratch_for(head, 0.0, 0.5)
+    update = client_local_update(0, head, subset, 3, 16, [1, 2, 3], head.copy(), scratch)
     assert np.array_equal(before, update.theta)
 
 
@@ -215,8 +221,8 @@ def test_local_update_single_sample_single_step(head_views):
         )
         for idx, (dw, db) in head_views(reference, grads).items()
     }
-    opt = nn.OptimizerState(learning_rate=0.1, momentum=0.0)
-    update = client_local_update(0, head, subset, 1, opt, 16, [4])
+    scratch = scratch_for(head, 0.1, 0.0)
+    update = client_local_update(0, head, subset, 1, 16, [4], head.copy(), scratch)
     trained = head_views(head, update.theta)
     for idx, (w_exp, b_exp) in expected.items():
         assert np.array_equal(trained[idx][0], w_exp)
@@ -239,8 +245,8 @@ def test_local_update_keeps_frozen_part_bitwise(monkeypatch):
 
     monkeypatch.setattr(federation, "_run_epochs", spy)
     head, subset = head_and_rows(model, train.subset(parts[1].sample_indices))
-    opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
-    update = client_local_update(1, head, subset, 4, opt, 8, [10, 11, 12, 13])
+    scratch = scratch_for(head, 0.1, 0.5)
+    update = client_local_update(1, head, subset, 4, 8, [10, 11, 12, 13], head.copy(), scratch)
     (client,) = trained
     assert np.array_equal(model.layers[0].weights, frozen[0][0])
     assert np.array_equal(model.layers[0].bias, frozen[0][1])
@@ -254,23 +260,28 @@ def test_local_update_keeps_frozen_part_bitwise(monkeypatch):
 def test_a_local_update_holds_few_head_sized_vectors(prox_mu, vectors):
     # A 500-500-10 head on 4-row batches, so that only the head's vectors
     # count: the client's copy (the upload), the gradient and the velocity,
-    # and with FedProx the pull mu * (theta - theta_t).
+    # and with FedProx the pull mu * (theta - theta_t). The round loop makes
+    # them all; the update itself makes none.
     head = nn.build_mlp(500, (500,), 10, split_index=0, seed=26)
     rng = np.random.default_rng(26)
     subset = data.Dataset(rng.normal(size=(8, 500)), rng.integers(0, 10, 8), 10)
-    opt = nn.OptimizerState(0.1, 0.5)
     head_bytes = sum(l.weights.nbytes + l.bias.nbytes for l in head.layers if l.kind == "dense")
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
+        client, scratch = head.copy(), scratch_for(head, 0.1, 0.5, prox_mu)
+        made, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         if prox_mu == 0.0:
-            update = client_local_update(0, head, subset, 2, opt, 4, [5, 6])
+            update = client_local_update(0, head, subset, 2, 4, [5, 6], client, scratch)
         else:
-            update = fedprox_local_update(0, head, subset, 2, opt, prox_mu, 4, [5, 6])
+            update = fedprox_local_update(0, head, subset, 2, prox_mu, 4, [5, 6], client, scratch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - before <= (vectors + 0.25) * head_bytes
+    assert made - before >= vectors * head_bytes
+    assert peak - made <= 0.25 * head_bytes
     assert update.theta.nbytes == head_bytes
 
 
@@ -278,8 +289,8 @@ def test_local_update_reports_selected_count_and_time():
     _, train, _, parts = small_setup()
     model = nn.build_mlp(8, (16,), 4, split_index=0, seed=10)
     subset = train.subset(parts[0].sample_indices)
-    opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
-    update = client_local_update(0, model, subset, 2, opt, 16, [1, 2])
+    scratch = scratch_for(model, 0.1, 0.5)
+    update = client_local_update(0, model, subset, 2, 16, [1, 2], model.copy(), scratch)
     assert update.selected_count == len(subset)
 
 
@@ -290,10 +301,11 @@ def test_fedprox_mu_zero_equals_plain_update():
     plain_model = nn.build_mlp(8, (16,), 4, split_index=0, seed=12)
     prox_model = plain_model.copy()
     plain = client_local_update(
-        2, plain_model, subset, 3, nn.OptimizerState(0.1, 0.5), 8, seeds
+        2, plain_model, subset, 3, 8, seeds, plain_model.copy(), scratch_for(plain_model, 0.1, 0.5)
     )
     prox = fedprox_local_update(
-        2, prox_model, subset, 3, nn.OptimizerState(0.1, 0.5), 0.0, 8, seeds
+        2, prox_model, subset, 3, 0.0, 8, seeds, prox_model.copy(),
+        scratch_for(prox_model, 0.1, 0.5),
     )
     assert np.array_equal(plain.theta, prox.theta)
 
@@ -306,10 +318,11 @@ def test_fedprox_first_step_equals_plain_sgd():
     plain_model = nn.build_mlp(8, (16,), 4, split_index=0, seed=13)
     prox_model = plain_model.copy()
     plain = client_local_update(
-        0, plain_model, subset, 1, nn.OptimizerState(0.1, 0.0), 32, [7]
+        0, plain_model, subset, 1, 32, [7], plain_model.copy(), scratch_for(plain_model, 0.1, 0.0)
     )
     prox = fedprox_local_update(
-        0, prox_model, subset, 1, nn.OptimizerState(0.1, 0.0), 1e6, 32, [7]
+        0, prox_model, subset, 1, 1e6, 32, [7], prox_model.copy(),
+        scratch_for(prox_model, 0.1, 0.0, 1e6),
     )
     assert np.array_equal(plain.theta, prox.theta)
 
@@ -322,7 +335,7 @@ def test_fedprox_applies_proximal_pull_on_later_steps(head_views):
     head, subset = head_and_rows(model, train.subset(np.arange(16)))
     reference = head.copy()
     update = fedprox_local_update(
-        0, head, subset, 1, nn.OptimizerState(lr, 0.0), mu, 8, [31]
+        0, head, subset, 1, mu, 8, [31], head.copy(), scratch_for(head, lr, 0.0, mu)
     )
     trained = head_views(head, update.theta)
 
@@ -354,8 +367,21 @@ def test_fedprox_with_too_few_epoch_seeds_fails_before_training():
     before = model.theta.copy()
     subset = train.subset(parts[0].sample_indices)
     with pytest.raises(ParameterError, match="epoch seeds"):
-        fedprox_local_update(0, model, subset, 3, nn.OptimizerState(0.1, 0.5), 0.01, 8, [1, 2])
+        fedprox_local_update(
+            0, model, subset, 3, 0.01, 8, [1, 2], model.copy(), scratch_for(model, 0.1, 0.5, 0.01)
+        )
     assert np.array_equal(before, model.theta)
+
+
+def test_a_proximal_update_without_a_pull_vector_fails_before_training():
+    _, train, _, parts = small_setup()
+    model = nn.build_mlp(8, (16,), 4, split_index=0, seed=15)
+    client = model.copy()
+    subset = train.subset(parts[0].sample_indices)
+    with pytest.raises(ParameterError, match="pull"):
+        scratch = scratch_for(model, 0.1, 0.5)  # made for mu 0: no pull vector
+        fedprox_local_update(0, model, subset, 2, 0.01, 8, [1, 2], client, scratch)
+    assert np.array_equal(client.params, model.params)
 
 
 def reference_training(model, features, labels, epochs, lr, momentum, batch_size, seeds, mu):
@@ -456,12 +482,18 @@ def test_local_update_and_pretrain_equal_the_per_layer_formulas(head_views, case
         head, rows.features, rows.labels, epochs, lr, momentum, batch_size, seeds, case["mu"],
     )
     given = model.params.copy()
-    opt = nn.OptimizerState(lr, momentum)
-    update = fedprox_local_update(0, head, rows, epochs, opt, case["mu"], batch_size, seeds)
-    assert np.array_equal(model.params, given)
+    # a set left over from an earlier job: the update zeroes its velocity
+    scratch = scratch_for(head, lr, momentum, case["mu"])
+    scratch.opt.velocity.fill(np.nan)
     trained = head.copy()
-    np.copyto(trained.params, update.theta)
-    assert_trained_like(trained, head_views(head, opt.velocity), expected, expected_velocity)
+    update = fedprox_local_update(
+        0, head, rows, epochs, case["mu"], batch_size, seeds, trained, scratch
+    )
+    assert np.array_equal(model.params, given)
+    assert update.theta is trained.params
+    assert_trained_like(
+        trained, head_views(head, scratch.opt.velocity), expected, expected_velocity
+    )
     arrays = [a for i in sorted(expected_velocity) for a in expected[i]]
     assert update.theta.shape == model.theta.shape
     assert np.array_equal(update.theta, np.concatenate([a.ravel() for a in arrays]))
@@ -512,8 +544,8 @@ def test_a_wrapping_tracer_sees_every_step_of_a_local_update(monkeypatch, prox_m
     for name in counts:
         monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
     model = nn.build_mlp(8, (16,), 4, split_index=0, seed=16)
-    opt = nn.OptimizerState(0.1, 0.5)
-    fedprox_local_update(0, model, subset, 3, opt, prox_mu, 8, [1, 2, 3])
+    scratch = scratch_for(model, 0.1, 0.5, prox_mu)
+    fedprox_local_update(0, model, subset, 3, prox_mu, 8, [1, 2, 3], model.copy(), scratch)
     steps = 3 * 5  # E epochs of ceil(37 / 8) batches
     assert counts["backward"] == counts["sgd_step"] == steps
     assert forwards_per_backward == [1] * steps
@@ -624,7 +656,7 @@ def test_aggregate_stays_within_the_inputs_to_a_few_ulps(updates):
 @PROPERTY
 @given(client_updates())
 def test_fold_in_ascending_order_equals_aggregate(updates):
-    fold = UpdateFold(sum(u.selected_count for u in updates))
+    fold = UpdateFold(sum(u.selected_count for u in updates), updates[0].theta.shape)
     for update in sorted(updates, key=lambda u: u.client_id):
         fold.add(update)
     assert np.array_equal(fold.result(), aggregate(updates))
@@ -650,7 +682,7 @@ def test_fold_rejects_a_broken_stream(updates, fault):
         ordered[-1] = dataclasses.replace(last, theta=np.append(last.theta, 0.0))
     else:
         total += 1
-    fold = UpdateFold(total)
+    fold = UpdateFold(total, first.theta.shape)
     with pytest.raises(ProtocolError):
         for update in ordered:
             fold.add(update)
@@ -1080,15 +1112,16 @@ def _uncached_rounds(config, source, train, parts, test):
                 derive_seed(master, streams.SHUFFLE, round_no, cid, epoch)
                 for epoch in range(config.local_epochs)
             ]
-            opt = nn.OptimizerState(config.learning_rate, config.momentum)
+            scratch = scratch_for(model, config.learning_rate, config.momentum, config.prox_mu)
             if config.strategy == "fedprox":
                 update = fedprox_local_update(
-                    cid, model.copy(), subset, config.local_epochs, opt, config.prox_mu,
-                    config.batch_size, seeds,
+                    cid, model, subset, config.local_epochs, config.prox_mu,
+                    config.batch_size, seeds, model.copy(), scratch,
                 )
             else:
                 update = client_local_update(
-                    cid, model.copy(), subset, config.local_epochs, opt, config.batch_size, seeds
+                    cid, model, subset, config.local_epochs, config.batch_size, seeds,
+                    model.copy(), scratch,
                 )
             train_cost = nn.forward_flops_per_sample(model) + nn.backward_flops_per_sample(model)
             cumulative += 0.0 + config.local_epochs * len(subset) * train_cost * SECONDS_PER_FLOP
@@ -1170,6 +1203,67 @@ def test_a_slow_hook_holds_at_most_two_jobs_per_thread_ahead(monkeypatch, thread
         assert made_on == {threading.main_thread()}
     else:
         assert threading.main_thread() not in made_on
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("strategy", ["fedprox", "fedft_eds"])
+def test_worker_threads_allocate_no_head_sized_array(monkeypatch, strategy, threads):
+    # The round loop makes every head-sized vector a job trains on the main
+    # thread, so that no worker's malloc arena keeps one. After each job's
+    # first step on a worker, when every vector of the job exists, no live
+    # allocation made on a worker thread is as large as the trained head.
+    # The head (64-64-4 whole, or above split 2) outweighs a job's rows and
+    # activations.
+    source, train, test, parts = small_setup()
+    config = small_config(strategy=strategy, rounds=2, hidden_sizes=(64, 64), split_index=2)
+    start = initial_model(config, source, train)
+    largest, checked, step = [], set(), nn.sgd_step
+
+    def checked_step(model, grad, opt):
+        step(model, grad, opt)
+        if threading.current_thread() is not threading.main_thread() and id(model) not in checked:
+            checked.add(id(model))  # each job trains its own model
+            traces = tracemalloc.take_snapshot().traces
+            # 32 frames hold a worker's whole stack, which starts in threading
+            on_workers = (t for t in traces if t.traceback[0].filename == threading.__file__)
+            largest.append(max((t.size for t in on_workers), default=0))
+
+    monkeypatch.setattr(nn, "sgd_step", checked_step)
+    tracemalloc.start(32)
+    try:
+        run_federation(config, start, train, parts, test, threads=threads)
+    finally:
+        tracemalloc.stop()
+    assert largest, "no step ran on a worker thread"
+    assert max(largest) < start.theta.nbytes
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("strategy", ["fedprox", "fedft_eds"])
+def test_a_failing_job_ends_the_run_and_its_workers(strategy, threads):
+    # Twenty runs each: a job that starts after another has failed must
+    # still find a scratch set and end, or the pool's shutdown waits on it.
+    source, train, test, parts = small_setup()
+    config = small_config(learning_rate=1e308, rounds=2, local_epochs=4, strategy=strategy,
+                          pretrain_epochs=0)
+    start = initial_model(config, source, train)
+    before = set(threading.enumerate())
+    for _ in range(20):
+        errors = []
+
+        def run():
+            with np.errstate(all="ignore"):
+                try:
+                    run_federation(config, start.copy(), train, parts, test, threads=threads)
+                except NumericError as exc:
+                    errors.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "the run did not end after a job failed"
+        assert len(errors) == 1 and "round 1, client" in str(errors[0])
+        assert set(threading.enumerate()) == before
 
 
 def test_hooks_fire_in_client_order_selection_first_with_three_threads():
