@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,14 +13,6 @@ from .federation import RoundReport
 from .selection import entropy_rows
 
 LAYER_LEVELS = ("low", "mid", "up")
-
-
-@dataclass
-class CkaMatrix:
-    """Symmetric K x K similarity matrix between client models."""
-
-    values: np.ndarray
-    layer_level: str
 
 
 def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
@@ -77,8 +68,9 @@ def probe_activations(model: nn.Model, features: np.ndarray, layer_level: str) -
     return nn.layer_output(model, features, relu_positions[0] + 1)
 
 
-def pairwise_cka(models: list[nn.Model], probe: Dataset, layer_level: str) -> CkaMatrix:
-    """CKA between every pair of models' activations on a shared probe set."""
+def pairwise_cka(models: list[nn.Model], probe: Dataset, layer_level: str) -> np.ndarray:
+    """CKA between every pair of models' activations on a shared probe set:
+    the symmetric K x K matrix of the K models, in their order."""
     if len(models) < 2:
         raise ParameterError("pairwise_cka needs at least 2 models")
     signatures = [
@@ -100,12 +92,11 @@ def pairwise_cka(models: list[nn.Model], probe: Dataset, layer_level: str) -> Ck
             score = _centered_cka(centered[i], centered[j])
             values[i, j] = score
             values[j, i] = score
-    return CkaMatrix(values=values, layer_level=layer_level)
+    return values
 
 
-def mean_offdiagonal(matrix: CkaMatrix) -> float:
-    """Average similarity between distinct model pairs."""
-    values = matrix.values
+def mean_offdiagonal(values: np.ndarray) -> float:
+    """Average similarity between distinct model pairs of a K x K matrix."""
     k = values.shape[0]
     mask = ~np.eye(k, dtype=bool)
     return float(values[mask].mean())

@@ -391,7 +391,9 @@ def _partition(config: ExperimentConfig, train: Dataset):
 def _open_run(config: ExperimentConfig, out: Path):
     """Set up `run`, `analyze-cka` or `entropy-hist` on the dataset files that
     `generate` wrote: (start time, output directory, source, `_prepare_run`
-    result).
+    result). A file whose class count or feature width differs from the
+    config's is a ConfigError, so a manifest never records other values than
+    the run trained on.
 
     The command holds the source to its end, as it did when the round loop
     took it. Freed mid-run, it leaves a heap on which later in-process
@@ -408,6 +410,13 @@ def _open_run(config: ExperimentConfig, out: Path):
                 f"dataset file {path} does not exist (run `fedsim generate` first)"
             )
     source, target = (load_dataset(path) for path in paths)
+    for path, dataset in zip(paths, (source, target)):
+        for name in ("num_classes", "feature_dim"):
+            if getattr(dataset, name) != config.dataset[name]:
+                raise ConfigError(
+                    f"dataset file {path} has {name} {getattr(dataset, name)}, "
+                    f"but dataset.{name} is {config.dataset[name]}"
+                )
     return started, out_dir, source, _prepare_run(config, source, target)
 
 
@@ -557,7 +566,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 write_csv(
                     stage(f"cka_{level}.csv"),
                     [str(cid) for cid, _ in captured],
-                    ([_fmt(v) for v in row] for row in matrix.values),
+                    ([_fmt(v) for v in row] for row in matrix),
                 )
                 mean = analysis.mean_offdiagonal(matrix)
                 lines.append(f"{level}: mean off-diagonal CKA {mean:.4f}")

@@ -168,60 +168,29 @@ class RoundReport:
     total_selected: int = 0
 
 
-@dataclass
-class Scratch:
-    """The vectors a local update trains with besides its model, each laid
-    out like the trained parameters: the gradient, the FedProx pull (None
-    without one) and the optimizer's velocity."""
-
-    grad: np.ndarray
-    pull: Optional[np.ndarray]
-    opt: nn.OptimizerState
-
-    @classmethod
-    def like(
-        cls, params: np.ndarray, learning_rate: float, momentum: float, proximal: bool
-    ) -> "Scratch":
-        """Fresh vectors laid out like `params`, the velocity zero; a pull
-        only if `proximal`."""
-        return cls(
-            np.empty_like(params),
-            np.empty_like(params) if proximal else None,
-            nn.OptimizerState(learning_rate, momentum, np.zeros_like(params)),
-        )
-
-
 def _run_epochs(
     model: nn.Model,
     features: np.ndarray,
     labels: np.ndarray,
-    epochs: int,
     batch_size: int,
     epoch_seeds: list[int],
-    scratch: Scratch,
-    prox_mu: float = 0.0,
+    opt: nn.OptimizerState,
     anchor: Optional[np.ndarray] = None,
 ) -> None:
-    """Mini-batch SGD on every parameter of `model`, in place; one shuffle
-    per epoch from the given seeds.
+    """Mini-batch SGD on every parameter of `model`, in place: one epoch per
+    seed in `epoch_seeds`, each shuffled from its seed.
 
-    A nonzero prox_mu adds the FedProx pull mu * (params - anchor) to every
-    gradient, `anchor` being laid out like `model.params` too. Every step
-    writes the vectors of `scratch`, so training allocates none of its own.
+    Every step writes the vectors of `opt`, so training allocates none of
+    its own; `anchor`, laid out like `model.params`, is what a nonzero
+    `opt.prox_mu` pulls towards.
     """
-    params, grad, pull, opt = model.params, scratch.grad, scratch.pull, scratch.opt
     n = features.shape[0]
-    for epoch in range(epochs):
-        order = derive_rng(epoch_seeds[epoch]).permutation(n)
+    for seed in epoch_seeds:
+        order = derive_rng(seed).permutation(n)
         for start in range(0, n, batch_size):
             chosen = order[start : start + batch_size]
-            nn.backward(model, features[chosen], labels[chosen], out=grad)
-            if prox_mu != 0.0:
-                # kept as g + mu * (params - anchor): another grouping changes bits
-                np.subtract(params, anchor, out=pull)
-                pull *= prox_mu
-                grad += pull
-            nn.sgd_step(model, grad, opt)
+            nn.backward(model, features[chosen], labels[chosen], out=opt.grad)
+            nn.sgd_step(model, opt, anchor)
 
 
 def pretrain(
@@ -239,9 +208,9 @@ def pretrain(
     split, and the copy keeps that split.
     """
     trained = model.copy()
-    scratch = Scratch.like(trained.params, learning_rate, momentum, proximal=False)
+    opt = nn.OptimizerState.like(trained.params, learning_rate, momentum)
     epoch_seeds = [derive_seed(seed, epoch) for epoch in range(epochs)]
-    _run_epochs(trained, source.features, source.labels, epochs, batch_size, epoch_seeds, scratch)
+    _run_epochs(trained, source.features, source.labels, batch_size, epoch_seeds, opt)
     return trained
 
 
@@ -278,33 +247,23 @@ def fedprox_local_update(
     client_id: int,
     model: nn.Model,
     data: Dataset,
-    epochs: int,
-    prox_mu: float,
     batch_size: int,
     epoch_seeds: list[int],
     client: nn.Model,
-    scratch: Scratch,
+    opt: nn.OptimizerState,
 ) -> ClientUpdate:
-    """Local update with a proximal pull mu * (theta - theta_t) added per step;
-    the round loop's one update call, at mu 0 for a strategy with no pull.
+    """Local update with the proximal pull mu * (theta - theta_t) of
+    `opt.prox_mu` added per step; the round loop's one update call, at mu 0
+    for a strategy with no pull. One epoch runs per seed in `epoch_seeds`.
 
     Trains `client`, a copy of `model` whose vector is the upload, in place
-    with the vectors of `scratch`, after zeroing its velocity; it allocates
-    no vector the size of the model. `model` itself is left as it is and is
+    with the vectors of `opt`, after zeroing its velocity; it allocates no
+    vector the size of the model. `model` itself is left as it is and is
     theta_t, the anchor of the pull. The round loop hands it the global head
-    and makes `client` and `scratch` on its own thread.
+    and makes `client` and `opt` on its own thread.
     """
-    if len(epoch_seeds) < epochs:
-        raise ParameterError(f"need {epochs} epoch seeds, got {len(epoch_seeds)}")
-    if not prox_mu >= 0.0:
-        raise ParameterError(f"prox_mu must be >= 0, got {prox_mu}")
-    if prox_mu != 0.0 and scratch.pull is None:
-        raise ParameterError("a proximal update needs a scratch set with a pull vector")
-    scratch.opt.velocity.fill(0.0)
-    _run_epochs(
-        client, data.features, data.labels, epochs, batch_size, epoch_seeds, scratch, prox_mu,
-        model.params,
-    )
+    opt.velocity.fill(0.0)
+    _run_epochs(client, data.features, data.labels, batch_size, epoch_seeds, opt, model.params)
     return ClientUpdate(client_id=client_id, theta=client.params, selected_count=len(data))
 
 
@@ -312,17 +271,15 @@ def client_local_update(
     client_id: int,
     model: nn.Model,
     selected: Dataset,
-    epochs: int,
     batch_size: int,
     epoch_seeds: list[int],
     client: nn.Model,
-    scratch: Scratch,
+    opt: nn.OptimizerState,
 ) -> ClientUpdate:
-    """The local update with no proximal pull. No run calls it; the
-    benchmark's tracer (perfbench/tracing.py) still names it."""
-    return fedprox_local_update(
-        client_id, model, selected, epochs, 0.0, batch_size, epoch_seeds, client, scratch
-    )
+    """`fedprox_local_update` under the name of the plain update: the pull
+    is `opt`'s. No run calls it; the benchmark's tracer
+    (perfbench/tracing.py) still names it."""
+    return fedprox_local_update(client_id, model, selected, batch_size, epoch_seeds, client, opt)
 
 
 class UpdateFold:
@@ -441,8 +398,9 @@ def run_federation(
     `threads` workers otherwise, with at most 2 * threads jobs submitted
     ahead of the one being folded. Every head-sized vector a job trains is
     made on the calling thread: its upload, a copy of the global head made
-    as the job is submitted, and a scratch set it takes for the job and
-    gives back. After the round one copy puts the folded sum into the
+    as the job is submitted, and an optimizer with its vectors that it takes
+    for the job and gives back; a round makes min(threads, participants)
+    optimizers. After the round one copy puts the folded sum into the
     global head, which is stored in `start.theta`. Hooks fire on the main
     thread in ascending client order, `selection_hook` before `upload_hook`,
     as each client's update is folded into the global head; `upload_hook`
@@ -483,7 +441,8 @@ def run_federation(
     p_ds = 1.0 if strategy.selector == "all" else config.p_ds
     # at p_ds 1 every selector keeps everything, and none is charged a scoring pass
     selector = "all" if p_ds >= 1.0 else strategy.selector
-    prox_mu = config.prox_mu if strategy.proximal else 0.0  # at 0 no pull vector is made
+    # the optimizers' constants; at prox_mu 0 no pull vector is made
+    rates = (config.learning_rate, config.momentum, config.prox_mu if strategy.proximal else 0.0)
     # Every selector keeps selection_count(n, p_ds) samples, so each round's
     # total weight is known before any job runs and each update can be folded
     # into the head as it arrives, then dropped.
@@ -502,12 +461,11 @@ def run_federation(
     cumulative_time = 0.0
     reports: list[RoundReport] = []
 
-    def client_round(round_no: int, client_id: int, client: nn.Model, scratches):
+    def client_round(round_no: int, client_id: int, client: nn.Model, opts):
         """Select, then train `client`, the job's copy of the global head, on
-        the selection with a scratch set taken from `scratches` and given
-        back: (selection, update). A NumericError names the round and the
-        client."""
-        scratch = scratches.get(block=False)  # never empty: one set per worker
+        the selection with an optimizer taken from `opts` and given back:
+        (selection, update). A NumericError names the round and the client."""
+        opt = opts.get(block=False)  # never empty: one per job that can run at once
         try:
             part = partitions[client_id]
             if selector == "entropy":
@@ -522,20 +480,12 @@ def run_federation(
                 for epoch in range(config.local_epochs)
             ]
             update = fedprox_local_update(
-                client_id,
-                head,
-                subset,
-                config.local_epochs,
-                prox_mu,
-                config.batch_size,
-                epoch_seeds,
-                client,
-                scratch,
+                client_id, head, subset, config.batch_size, epoch_seeds, client, opt
             )
         except NumericError as exc:
             raise NumericError(f"round {round_no}, client {client_id}: {exc}") from exc
         finally:
-            scratches.put(scratch)
+            opts.put(opt)
         return chosen, update
 
     # No worker thread starts unless a job is submitted, i.e. threads > 1.
@@ -549,18 +499,17 @@ def run_federation(
             The jobs' head-sized vectors are made here, on the calling
             thread, so that no worker's malloc arena keeps one: each job's
             upload, a copy of the global head, which does not change during
-            the round, and one scratch set per worker in this round's own
-            queue. A job holds one set at a time, so no job waits for one.
-            The queue is never emptied, so a job that starts after another
-            has failed still finds its set; it goes with the round.
+            the round, and one optimizer per job that can run at once,
+            min(threads, len(clients)), in this round's own queue. A job
+            holds one at a time, so no job waits for one. The queue is never
+            emptied, so a job that starts after another has failed still
+            finds one; they go with the round.
             """
-            scratches = queue.SimpleQueue()
-            for _ in range(threads):
-                scratches.put(
-                    Scratch.like(head.params, config.learning_rate, config.momentum, prox_mu != 0.0)
-                )
+            opts = queue.SimpleQueue()
+            for _ in range(min(threads, len(clients))):
+                opts.put(nn.OptimizerState.like(head.params, *rates))
             if threads == 1:
-                yield from (client_round(round_no, c, head.copy(), scratches) for c in clients)
+                yield from (client_round(round_no, c, head.copy(), opts) for c in clients)
                 return
             ahead = deque()
             try:
@@ -569,7 +518,7 @@ def run_federation(
                     # numpy's error state holds on the workers too
                     job = contextvars.copy_context().run
                     ahead.append(
-                        pool.submit(job, client_round, round_no, client_id, head.copy(), scratches)
+                        pool.submit(job, client_round, round_no, client_id, head.copy(), opts)
                     )
                     if len(ahead) > 2 * threads:
                         yield ahead.popleft().result()

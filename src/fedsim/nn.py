@@ -11,9 +11,10 @@ float64 so that determinism and oracle tolerances are meaningful.
 
 A model's parameters are one float64 vector, `Model.params`: every dense
 layer's weights (row-major) then bias, in layer order. Each layer's arrays
-are views of it, and the head's parameters (`Model.theta`) are its tail. The
-gradient that `backward` writes and the optimizer's velocity are laid out
-like `params`, so the FedProx pull is one expression on whole vectors and
+are views of it, and the head's parameters (`Model.theta`) are its tail.
+Every vector a training step writes is laid out like `params` and held by
+one `OptimizerState`: the gradient that `backward` writes, the FedProx pull
+and the velocity. So the pull is one expression on whole vectors and
 `sgd_step` moves every parameter with a few vector operations. Where each
 check runs:
 
@@ -21,9 +22,12 @@ check runs:
 - `backward`: a nonempty batch, then the labels' shape, integer dtype and
   range, and the length of `out`; its softmax runs unchecked, as `forward`
   has checked the logits;
-- `sgd_step`: the lengths of the gradient and the velocity, then one
-  finiteness check covers the whole gradient before any parameter moves;
-- `OptimizerState`: finite rates when made;
+- `sgd_step`: the lengths of the gradient and the velocity; it adds the
+  pull into the gradient, then one finiteness check covers the whole
+  gradient before any parameter moves. It makes no vector: the velocity is
+  the optimizer's;
+- `OptimizerState`: a finite learning rate, a momentum in [0, 1) and a
+  finite prox_mu >= 0 when made;
 - the frozen layers: `Model.head()` views only the layers from the split on,
   so no step taken on the head can reach the layers below it.
 
@@ -192,17 +196,23 @@ class Model:
         return self._on(self.theta, self.layers[self.split_index :], 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerState:
-    """Heavy-ball SGD state: v <- momentum * v + g, theta <- theta - lr * v.
+    """Heavy-ball SGD with an optional FedProx pull, and the vectors it writes.
 
-    `velocity` is laid out like the trained model's `params`. A given one is
-    stepped as it is; without one, the first step makes it, as zeros.
+    A step computes g <- g + prox_mu * (params - anchor), then
+    v <- momentum * v + g and params <- params - lr * v. `grad`, `pull` and
+    `velocity` are laid out like the trained model's `params`; `pull` exists
+    only when prox_mu != 0. Make one with `like`. Frozen, so that no vector
+    can be swapped out: steps write into them.
     """
 
     learning_rate: float
-    momentum: float = 0.0
-    velocity: Optional[np.ndarray] = field(default=None, repr=False)
+    momentum: float
+    prox_mu: float
+    grad: np.ndarray = field(repr=False)
+    pull: Optional[np.ndarray] = field(repr=False)
+    velocity: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         # 0 is allowed so a step can accumulate velocity without moving
@@ -212,6 +222,18 @@ class OptimizerState:
             )
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not 0.0 <= self.prox_mu < math.inf:
+            raise ParameterError(f"prox_mu must be finite and >= 0, got {self.prox_mu}")
+
+    @classmethod
+    def like(
+        cls, params: np.ndarray, learning_rate: float, momentum: float = 0.0, prox_mu: float = 0.0
+    ) -> "OptimizerState":
+        """Fresh vectors laid out like `params`, made in the order gradient,
+        pull (only if prox_mu != 0), velocity; the velocity is zero."""
+        grad = np.empty_like(params)
+        pull = np.empty_like(params) if prox_mu != 0.0 else None
+        return cls(learning_rate, momentum, prox_mu, grad, pull, np.zeros_like(params))
 
 
 def _as_batch(model: Model, batch: np.ndarray) -> np.ndarray:
@@ -377,25 +399,29 @@ def backward(
     return grad
 
 
-def sgd_step(model: Model, grad: np.ndarray, opt: OptimizerState) -> None:
+def sgd_step(model: Model, opt: OptimizerState, anchor: Optional[np.ndarray] = None) -> None:
     """Apply one heavy-ball SGD step to every parameter of `model`, in place.
 
-    `grad` is laid out like `model.params`, as `backward` writes it. Nothing
-    moves unless the whole gradient is finite, and the error for one that is
-    not names its first layer holding a non-finite value; the velocity is
-    updated even when the learning rate is zero. The step then uses `grad` as scratch space and
-    leaves lr * v in it, so it makes no temporary vector the size of the
-    model.
+    The gradient is `opt.grad`, laid out like `model.params`, as `backward`
+    writes it. At a nonzero prox_mu the pull prox_mu * (params - anchor) is
+    added into it first, `anchor` being laid out like `model.params` too.
+    Nothing moves unless the whole gradient is then finite, and the error
+    for one that is not names its first layer holding a non-finite value;
+    the velocity is updated even when the learning rate is zero. The step
+    then uses the gradient as scratch space and leaves lr * v in it, so it
+    makes no vector the size of the model.
     """
-    params = model.params
-    if opt.velocity is None:
-        opt.velocity = np.zeros(params.shape)
-    velocity = opt.velocity
+    params, grad, velocity = model.params, opt.grad, opt.velocity
     if not grad.shape == velocity.shape == params.shape:
         raise ShapeError(
             f"gradient {grad.shape} and velocity {velocity.shape} must match "
             f"the model's {params.shape}"
         )
+    if opt.prox_mu != 0.0:
+        # kept as g + mu * (params - anchor): another grouping changes bits
+        pull = np.subtract(params, anchor, out=opt.pull)
+        pull *= opt.prox_mu
+        grad += pull
     if not np.isfinite(grad).all():
         starts = model._starts  # a relu's slice is empty, so it is never named
         bad = next(

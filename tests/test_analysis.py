@@ -91,7 +91,7 @@ def test_pairwise_identical_models_all_ones():
     probe = probe_dataset()
     model = nn.build_mlp(6, (8, 8), 3, split_index=4, seed=8)
     matrix = analysis.pairwise_cka([model, model.copy(), model.copy()], probe, "mid")
-    assert np.abs(matrix.values - 1.0).max() < 1e-9
+    assert np.abs(matrix - 1.0).max() < 1e-9
 
 
 def test_pairwise_two_models_matches_direct_computation():
@@ -103,17 +103,17 @@ def test_pairwise_two_models_matches_direct_computation():
         analysis.probe_activations(a, probe.features, "low"),
         analysis.probe_activations(b, probe.features, "low"),
     )
-    assert matrix.values.shape == (2, 2)
-    assert abs(matrix.values[0, 1] - direct) < 1e-12
-    assert abs(matrix.values[1, 0] - direct) < 1e-12
+    assert matrix.shape == (2, 2)
+    assert abs(matrix[0, 1] - direct) < 1e-12
+    assert abs(matrix[1, 0] - direct) < 1e-12
 
 
 def test_pairwise_matrix_is_symmetric_with_unit_diagonal():
     probe = probe_dataset()
     models = [nn.build_mlp(6, (8, 8), 3, split_index=4, seed=s) for s in range(4)]
     matrix = analysis.pairwise_cka(models, probe, "up")
-    assert np.abs(matrix.values - matrix.values.T).max() < 1e-12
-    assert np.abs(np.diag(matrix.values) - 1.0).max() < 1e-9
+    assert np.abs(matrix - matrix.T).max() < 1e-12
+    assert np.abs(np.diag(matrix) - 1.0).max() < 1e-9
 
 
 @pytest.mark.parametrize("level", analysis.LAYER_LEVELS)
@@ -124,8 +124,8 @@ def test_pairwise_equals_linear_cka_bitwise_for_every_pair(level):
     acts = [analysis.probe_activations(m, probe.features, level) for m in models]
     for i in range(len(models)):
         for j in range(i, len(models)):
-            assert matrix.values[i, j] == analysis.linear_cka(acts[i], acts[j])
-            assert matrix.values[j, i] == matrix.values[i, j]
+            assert matrix[i, j] == analysis.linear_cka(acts[i], acts[j])
+            assert matrix[j, i] == matrix[i, j]
 
 
 def test_pairwise_rejects_a_single_row_probe():

@@ -188,6 +188,24 @@ def test_same_named_dataset_files_are_rejected(tmp_path, capsys):
     assert "file names" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "analyze-cka", "entropy-hist"])
+@pytest.mark.parametrize("setting, given, value", [("num_classes", 4, "5"), ("feature_dim", 8, "7")])
+def test_dataset_files_that_disagree_with_the_config_are_rejected(
+    tmp_path, capsys, command, setting, given, value
+):
+    # the files hold TINY's 4 classes of 8 features; the manifest would record
+    # the config's values, so the run must not train on the files' ones
+    out = tmp_path / "mismatch"
+    generate(out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run_cli([command, "--out", out, "--seed", 5, *TINY, f"--dataset.{setting}", value]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'source.feds'} has {setting} {given}, but dataset.{setting} is {value}" in err
+    assert not (out / "reports.csv").exists()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_run_rejects_zero_threads_before_compute(tmp_path, capsys):
     out = tmp_path / "threads"
     generate(out)

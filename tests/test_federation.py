@@ -21,7 +21,6 @@ from fedsim.federation import (
     SECONDS_PER_FLOP,
     ClientUpdate,
     FederationConfig,
-    Scratch,
     UpdateFold,
     aggregate,
     client_local_update,
@@ -75,9 +74,9 @@ def head_and_rows(model, dataset):
     return model.head(), data.Dataset(rows, dataset.labels, dataset.num_classes)
 
 
-def scratch_for(model, lr, momentum, prox_mu=0.0):
-    """A scratch set for a local update of `model`, as the round loop makes it."""
-    return Scratch.like(model.params, lr, momentum, proximal=prox_mu != 0.0)
+def opt_for(model, lr, momentum, prox_mu=0.0):
+    """An optimizer for a local update of `model`, as the round loop makes it."""
+    return nn.OptimizerState.like(model.params, lr, momentum, prox_mu)
 
 
 def pretrained_run(config, source, train, parts, test, **kwargs):
@@ -203,8 +202,8 @@ def test_local_update_zero_learning_rate_keeps_theta():
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=6)
     before = model.theta.copy()
     head, subset = head_and_rows(model, train.subset(parts[0].sample_indices))
-    scratch = scratch_for(head, 0.0, 0.5)
-    update = client_local_update(0, head, subset, 3, 16, [1, 2, 3], head.copy(), scratch)
+    opt = opt_for(head, 0.0, 0.5)
+    update = client_local_update(0, head, subset, 16, [1, 2, 3], head.copy(), opt)
     assert np.array_equal(before, update.theta)
 
 
@@ -221,8 +220,8 @@ def test_local_update_single_sample_single_step(head_views):
         )
         for idx, (dw, db) in head_views(reference, grads).items()
     }
-    scratch = scratch_for(head, 0.1, 0.0)
-    update = client_local_update(0, head, subset, 1, 16, [4], head.copy(), scratch)
+    opt = opt_for(head, 0.1, 0.0)
+    update = client_local_update(0, head, subset, 16, [4], head.copy(), opt)
     trained = head_views(head, update.theta)
     for idx, (w_exp, b_exp) in expected.items():
         assert np.array_equal(trained[idx][0], w_exp)
@@ -245,8 +244,8 @@ def test_local_update_keeps_frozen_part_bitwise(monkeypatch):
 
     monkeypatch.setattr(federation, "_run_epochs", spy)
     head, subset = head_and_rows(model, train.subset(parts[1].sample_indices))
-    scratch = scratch_for(head, 0.1, 0.5)
-    update = client_local_update(1, head, subset, 4, 8, [10, 11, 12, 13], head.copy(), scratch)
+    opt = opt_for(head, 0.1, 0.5)
+    update = client_local_update(1, head, subset, 8, [10, 11, 12, 13], head.copy(), opt)
     (client,) = trained
     assert np.array_equal(model.layers[0].weights, frozen[0][0])
     assert np.array_equal(model.layers[0].bias, frozen[0][1])
@@ -269,13 +268,13 @@ def test_a_local_update_holds_few_head_sized_vectors(prox_mu, vectors):
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        client, scratch = head.copy(), scratch_for(head, 0.1, 0.5, prox_mu)
+        client, opt = head.copy(), opt_for(head, 0.1, 0.5, prox_mu)
         made, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         if prox_mu == 0.0:
-            update = client_local_update(0, head, subset, 2, 4, [5, 6], client, scratch)
+            update = client_local_update(0, head, subset, 4, [5, 6], client, opt)
         else:
-            update = fedprox_local_update(0, head, subset, 2, prox_mu, 4, [5, 6], client, scratch)
+            update = fedprox_local_update(0, head, subset, 4, [5, 6], client, opt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -289,8 +288,8 @@ def test_local_update_reports_selected_count_and_time():
     _, train, _, parts = small_setup()
     model = nn.build_mlp(8, (16,), 4, split_index=0, seed=10)
     subset = train.subset(parts[0].sample_indices)
-    scratch = scratch_for(model, 0.1, 0.5)
-    update = client_local_update(0, model, subset, 2, 16, [1, 2], model.copy(), scratch)
+    opt = opt_for(model, 0.1, 0.5)
+    update = client_local_update(0, model, subset, 16, [1, 2], model.copy(), opt)
     assert update.selected_count == len(subset)
 
 
@@ -301,11 +300,10 @@ def test_fedprox_mu_zero_equals_plain_update():
     plain_model = nn.build_mlp(8, (16,), 4, split_index=0, seed=12)
     prox_model = plain_model.copy()
     plain = client_local_update(
-        2, plain_model, subset, 3, 8, seeds, plain_model.copy(), scratch_for(plain_model, 0.1, 0.5)
+        2, plain_model, subset, 8, seeds, plain_model.copy(), opt_for(plain_model, 0.1, 0.5)
     )
     prox = fedprox_local_update(
-        2, prox_model, subset, 3, 0.0, 8, seeds, prox_model.copy(),
-        scratch_for(prox_model, 0.1, 0.5),
+        2, prox_model, subset, 8, seeds, prox_model.copy(), opt_for(prox_model, 0.1, 0.5, 0.0)
     )
     assert np.array_equal(plain.theta, prox.theta)
 
@@ -318,11 +316,10 @@ def test_fedprox_first_step_equals_plain_sgd():
     plain_model = nn.build_mlp(8, (16,), 4, split_index=0, seed=13)
     prox_model = plain_model.copy()
     plain = client_local_update(
-        0, plain_model, subset, 1, 32, [7], plain_model.copy(), scratch_for(plain_model, 0.1, 0.0)
+        0, plain_model, subset, 32, [7], plain_model.copy(), opt_for(plain_model, 0.1, 0.0)
     )
     prox = fedprox_local_update(
-        0, prox_model, subset, 1, 1e6, 32, [7], prox_model.copy(),
-        scratch_for(prox_model, 0.1, 0.0, 1e6),
+        0, prox_model, subset, 32, [7], prox_model.copy(), opt_for(prox_model, 0.1, 0.0, 1e6)
     )
     assert np.array_equal(plain.theta, prox.theta)
 
@@ -334,9 +331,7 @@ def test_fedprox_applies_proximal_pull_on_later_steps(head_views):
     model = nn.build_mlp(8, (16,), 4, split_index=2, seed=14)
     head, subset = head_and_rows(model, train.subset(np.arange(16)))
     reference = head.copy()
-    update = fedprox_local_update(
-        0, head, subset, 1, mu, 8, [31], head.copy(), scratch_for(head, lr, 0.0, mu)
-    )
+    update = fedprox_local_update(0, head, subset, 8, [31], head.copy(), opt_for(head, lr, 0.0, mu))
     trained = head_views(head, update.theta)
 
     # manual replay with nn primitives
@@ -359,29 +354,6 @@ def test_fedprox_applies_proximal_pull_on_later_steps(head_views):
     for idx in dense:
         assert np.allclose(trained[idx][0], replay.layers[idx].weights, atol=1e-15)
         assert np.allclose(trained[idx][1], replay.layers[idx].bias, atol=1e-15)
-
-
-def test_fedprox_with_too_few_epoch_seeds_fails_before_training():
-    _, train, _, parts = small_setup()
-    model = nn.build_mlp(8, (16,), 4, split_index=2, seed=15)
-    before = model.theta.copy()
-    subset = train.subset(parts[0].sample_indices)
-    with pytest.raises(ParameterError, match="epoch seeds"):
-        fedprox_local_update(
-            0, model, subset, 3, 0.01, 8, [1, 2], model.copy(), scratch_for(model, 0.1, 0.5, 0.01)
-        )
-    assert np.array_equal(before, model.theta)
-
-
-def test_a_proximal_update_without_a_pull_vector_fails_before_training():
-    _, train, _, parts = small_setup()
-    model = nn.build_mlp(8, (16,), 4, split_index=0, seed=15)
-    client = model.copy()
-    subset = train.subset(parts[0].sample_indices)
-    with pytest.raises(ParameterError, match="pull"):
-        scratch = scratch_for(model, 0.1, 0.5)  # made for mu 0: no pull vector
-        fedprox_local_update(0, model, subset, 2, 0.01, 8, [1, 2], client, scratch)
-    assert np.array_equal(client.params, model.params)
 
 
 def reference_training(model, features, labels, epochs, lr, momentum, batch_size, seeds, mu):
@@ -482,18 +454,14 @@ def test_local_update_and_pretrain_equal_the_per_layer_formulas(head_views, case
         head, rows.features, rows.labels, epochs, lr, momentum, batch_size, seeds, case["mu"],
     )
     given = model.params.copy()
-    # a set left over from an earlier job: the update zeroes its velocity
-    scratch = scratch_for(head, lr, momentum, case["mu"])
-    scratch.opt.velocity.fill(np.nan)
+    # an optimizer left over from an earlier job: the update zeroes its velocity
+    opt = opt_for(head, lr, momentum, case["mu"])
+    opt.velocity.fill(np.nan)
     trained = head.copy()
-    update = fedprox_local_update(
-        0, head, rows, epochs, case["mu"], batch_size, seeds, trained, scratch
-    )
+    update = fedprox_local_update(0, head, rows, batch_size, seeds, trained, opt)
     assert np.array_equal(model.params, given)
     assert update.theta is trained.params
-    assert_trained_like(
-        trained, head_views(head, scratch.opt.velocity), expected, expected_velocity
-    )
+    assert_trained_like(trained, head_views(head, opt.velocity), expected, expected_velocity)
     arrays = [a for i in sorted(expected_velocity) for a in expected[i]]
     assert update.theta.shape == model.theta.shape
     assert np.array_equal(update.theta, np.concatenate([a.ravel() for a in arrays]))
@@ -509,9 +477,9 @@ def test_local_update_and_pretrain_equal_the_per_layer_formulas(head_views, case
     used = []
     step = nn.sgd_step
 
-    def spy(model_, grads, opt_):
+    def spy(model_, opt_, anchor=None):
         used.append(opt_)
-        return step(model_, grads, opt_)
+        return step(model_, opt_, anchor)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nn, "sgd_step", spy)
@@ -544,8 +512,8 @@ def test_a_wrapping_tracer_sees_every_step_of_a_local_update(monkeypatch, prox_m
     for name in counts:
         monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
     model = nn.build_mlp(8, (16,), 4, split_index=0, seed=16)
-    scratch = scratch_for(model, 0.1, 0.5, prox_mu)
-    fedprox_local_update(0, model, subset, 3, prox_mu, 8, [1, 2, 3], model.copy(), scratch)
+    opt = opt_for(model, 0.1, 0.5, prox_mu)
+    fedprox_local_update(0, model, subset, 8, [1, 2, 3], model.copy(), opt)
     steps = 3 * 5  # E epochs of ceil(37 / 8) batches
     assert counts["backward"] == counts["sgd_step"] == steps
     assert forwards_per_backward == [1] * steps
@@ -817,14 +785,15 @@ def test_single_client_fedavg_equals_centralized_training():
     oracle = nn.build_mlp(6, (12,), 3, split_index=0,
                           seed=derive_seed(91, streams.INIT))
     for round_no in range(1, 5):
-        opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
+        opt = nn.OptimizerState.like(oracle.params, learning_rate=0.1, momentum=0.5)
         for epoch in range(3):
             seed = derive_seed(91, streams.SHUFFLE, round_no, 0, epoch)
             order = derive_rng(seed).permutation(len(train))
             for start in range(0, len(train), 16):
                 chosen = order[start : start + 16]
                 xb, yb = train.features[chosen], train.labels[chosen]
-                nn.sgd_step(oracle, nn.backward(oracle, xb, yb), opt)
+                nn.backward(oracle, xb, yb, out=opt.grad)
+                nn.sgd_step(oracle, opt)
     for a, b in zip(final.layers, oracle.layers):
         if isinstance(a, nn.DenseLayer):
             assert np.array_equal(a.weights, b.weights)
@@ -1080,9 +1049,9 @@ def test_pretrain_and_the_client_copies_are_laid_out_in_one_vector(monkeypatch, 
     assert_laid_out(start)
     trained, step = {}, nn.sgd_step
 
-    def spy(model, grad, opt):
+    def spy(model, opt, anchor=None):
         trained[id(model)] = model
-        return step(model, grad, opt)
+        return step(model, opt, anchor)
 
     monkeypatch.setattr(nn, "sgd_step", spy)
     run_federation(config, start, train, parts, test)
@@ -1112,16 +1081,15 @@ def _uncached_rounds(config, source, train, parts, test):
                 derive_seed(master, streams.SHUFFLE, round_no, cid, epoch)
                 for epoch in range(config.local_epochs)
             ]
-            scratch = scratch_for(model, config.learning_rate, config.momentum, config.prox_mu)
             if config.strategy == "fedprox":
+                opt = opt_for(model, config.learning_rate, config.momentum, config.prox_mu)
                 update = fedprox_local_update(
-                    cid, model, subset, config.local_epochs, config.prox_mu,
-                    config.batch_size, seeds, model.copy(), scratch,
+                    cid, model, subset, config.batch_size, seeds, model.copy(), opt
                 )
             else:
+                opt = opt_for(model, config.learning_rate, config.momentum)
                 update = client_local_update(
-                    cid, model, subset, config.local_epochs, config.batch_size, seeds,
-                    model.copy(), scratch,
+                    cid, model, subset, config.batch_size, seeds, model.copy(), opt
                 )
             train_cost = nn.forward_flops_per_sample(model) + nn.backward_flops_per_sample(model)
             cumulative += 0.0 + config.local_epochs * len(subset) * train_cost * SECONDS_PER_FLOP
@@ -1219,8 +1187,8 @@ def test_worker_threads_allocate_no_head_sized_array(monkeypatch, strategy, thre
     start = initial_model(config, source, train)
     largest, checked, step = [], set(), nn.sgd_step
 
-    def checked_step(model, grad, opt):
-        step(model, grad, opt)
+    def checked_step(model, opt, anchor=None):
+        step(model, opt, anchor)
         if threading.current_thread() is not threading.main_thread() and id(model) not in checked:
             checked.add(id(model))  # each job trains its own model
             traces = tracemalloc.take_snapshot().traces
@@ -1238,11 +1206,30 @@ def test_worker_threads_allocate_no_head_sized_array(monkeypatch, strategy, thre
     assert max(largest) < start.theta.nbytes
 
 
+@pytest.mark.parametrize("strategy", ["fedprox", "fedft_eds"])
+def test_a_round_makes_one_optimizer_per_job_that_can_run_at_once(monkeypatch, strategy):
+    # 8 threads but 3 participants per round: no more than 3 jobs run at
+    # once, so a round makes 3 optimizers, each on the main thread
+    source, train, test, parts = small_setup()
+    config = small_config(strategy=strategy, rounds=2, participation_fraction=0.6)
+    start = initial_model(config, source, train)
+    made, like = [], nn.OptimizerState.like
+
+    def spy(params, *args):
+        made.append((params.shape, threading.current_thread()))
+        return like(params, *args)
+
+    monkeypatch.setattr(nn.OptimizerState, "like", staticmethod(spy))
+    reports = run_federation(config, start, train, parts, test, threads=8)
+    assert [len(r.participants) for r in reports] == [3, 3]
+    assert made == [(start.theta.shape, threading.main_thread())] * (3 * config.rounds)
+
+
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize("strategy", ["fedprox", "fedft_eds"])
 def test_a_failing_job_ends_the_run_and_its_workers(strategy, threads):
     # Twenty runs each: a job that starts after another has failed must
-    # still find a scratch set and end, or the pool's shutdown waits on it.
+    # still find an optimizer and end, or the pool's shutdown waits on it.
     source, train, test, parts = small_setup()
     config = small_config(learning_rate=1e308, rounds=2, local_epochs=4, strategy=strategy,
                           pretrain_epochs=0)

@@ -377,49 +377,79 @@ def scalar_model(weight=1.0):
     )
 
 
-def scalar_grad(g):
-    """The flat gradient of scalar_model: its one weight, then its bias."""
-    return np.array([g, 0.0])
+def scalar_step(model, opt, g, anchor=None):
+    """One step of scalar_model on the flat gradient of its one weight g
+    (then its bias, 0), written into the optimizer's gradient."""
+    opt.grad[...] = [g, 0.0]
+    nn.sgd_step(model, opt, anchor)
 
 
 def test_sgd_plain_step():
     model = scalar_model(1.0)
-    opt = nn.OptimizerState(learning_rate=0.1, momentum=0.0)
-    nn.sgd_step(model, scalar_grad(0.5), opt)
+    opt = nn.OptimizerState.like(model.params, learning_rate=0.1, momentum=0.0)
+    scalar_step(model, opt, 0.5)
     assert model.layers[0].weights[0, 0] == pytest.approx(0.95, abs=1e-15)
 
 
 def test_sgd_momentum_two_steps():
     model = scalar_model(1.0)
-    opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
-    nn.sgd_step(model, scalar_grad(1.0), opt)
+    opt = nn.OptimizerState.like(model.params, learning_rate=0.1, momentum=0.5)
+    velocity = opt.velocity
+    scalar_step(model, opt, 1.0)
     assert model.layers[0].weights[0, 0] == pytest.approx(0.9, abs=1e-15)
     assert opt.velocity[0] == pytest.approx(1.0, abs=1e-15)
-    nn.sgd_step(model, scalar_grad(1.0), opt)
+    scalar_step(model, opt, 1.0)
     assert opt.velocity[0] == pytest.approx(1.5, abs=1e-15)
     assert model.layers[0].weights[0, 0] == pytest.approx(0.75, abs=1e-15)
+    assert opt.velocity is velocity  # the step makes no velocity of its own
 
 
 def test_sgd_zero_learning_rate_accumulates_velocity():
     model = scalar_model(1.0)
-    opt = nn.OptimizerState(learning_rate=0.0, momentum=0.5)
-    nn.sgd_step(model, scalar_grad(1.0), opt)
-    nn.sgd_step(model, scalar_grad(1.0), opt)
+    opt = nn.OptimizerState.like(model.params, learning_rate=0.0, momentum=0.5)
+    scalar_step(model, opt, 1.0)
+    scalar_step(model, opt, 1.0)
     assert model.layers[0].weights[0, 0] == 1.0
     assert opt.velocity[0] == pytest.approx(1.5, abs=1e-15)
+
+
+def test_sgd_adds_the_proximal_pull_to_the_gradient():
+    # g + mu * (w - anchor) = 0.5 + 2 * (1 - 0.75) = 1, so w = 1 - 0.1 * 1
+    model = scalar_model(1.0)
+    opt = nn.OptimizerState.like(model.params, learning_rate=0.1, prox_mu=2.0)
+    scalar_step(model, opt, 0.5, anchor=np.array([0.75, 0.0]))
+    assert model.layers[0].weights[0, 0] == pytest.approx(0.9, abs=1e-15)
+    assert opt.velocity[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_the_optimizer_makes_a_pull_vector_only_for_a_proximal_step():
+    params = np.zeros(6)
+    plain = nn.OptimizerState.like(params, 0.1, 0.5)
+    proximal = nn.OptimizerState.like(params, 0.1, 0.5, prox_mu=0.01)
+    assert plain.pull is None
+    assert proximal.pull.shape == proximal.grad.shape == proximal.velocity.shape == params.shape
+    assert not proximal.velocity.any()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        proximal.velocity = np.zeros(6)
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
 def test_optimizer_rejects_a_non_finite_learning_rate(rate):
     with pytest.raises(ParameterError, match="learning_rate"):
-        nn.OptimizerState(learning_rate=rate, momentum=0.5)
+        nn.OptimizerState.like(np.zeros(2), learning_rate=rate, momentum=0.5)
+
+
+@pytest.mark.parametrize("mu", [-0.1, float("nan"), float("inf")])
+def test_optimizer_rejects_a_negative_or_non_finite_prox_mu(mu):
+    with pytest.raises(ParameterError, match="prox_mu"):
+        nn.OptimizerState.like(np.zeros(2), learning_rate=0.1, momentum=0.5, prox_mu=mu)
 
 
 def test_sgd_rejects_nonfinite_gradient():
     model = scalar_model()
-    opt = nn.OptimizerState(learning_rate=0.1)
+    opt = nn.OptimizerState.like(model.params, learning_rate=0.1)
     with pytest.raises(NumericError):
-        nn.sgd_step(model, scalar_grad(np.nan), opt)
+        scalar_step(model, opt, np.nan)
 
 
 @pytest.mark.parametrize(
@@ -431,8 +461,9 @@ def test_sgd_rejects_a_gradient_of_the_wrong_length(size):
     # the head, dense 2, has 4 * 8 + 4 = 36 values
     model = make_model(split_index=2, seed=21)  # dense, relu, dense
     before = model.params.copy()
+    opt = nn.OptimizerState.like(np.zeros(size), 0.1)
     with pytest.raises(ShapeError, match="must match the model's"):
-        nn.sgd_step(model.head(), np.zeros(size), nn.OptimizerState(0.1))
+        nn.sgd_step(model.head(), opt)
     assert bitwise_equal(model.params, before)
 
 
@@ -452,12 +483,12 @@ def test_a_non_finite_gradient_moves_no_parameter(head_views):
     # the one finite check covers the whole head before any layer moves
     model = make_model(split_index=0, seed=22)  # dense 0, relu, dense 2
     rng = np.random.default_rng(22)
-    grads = nn.backward(model, rng.normal(size=(4, 5)), np.array([0, 1, 2, 3]))
-    head_views(model, grads)[2][1][0] = np.inf
+    opt = nn.OptimizerState.like(model.params, 0.1, 0.5)
+    nn.backward(model, rng.normal(size=(4, 5)), np.array([0, 1, 2, 3]), out=opt.grad)
+    head_views(model, opt.grad)[2][1][0] = np.inf
     before = model.theta.copy()
-    opt = nn.OptimizerState(0.1, 0.5)
     with pytest.raises(NumericError, match="layer 2"):
-        nn.sgd_step(model, grads, opt)
+        nn.sgd_step(model, opt)
     assert bitwise_equal(model.theta, before)
     assert not opt.velocity.any()
 
@@ -467,12 +498,12 @@ def test_training_keeps_the_head_in_one_flat_vector_per_buffer(head_views):
     rng = np.random.default_rng(23)
     batch, labels = rng.normal(size=(6, 5)), rng.integers(0, 4, 6)
     head_model, features = model.head(), nn.layer_output(model, batch, model.split_index)
-    opt = nn.OptimizerState(0.1, 0.5)
-    grad = np.empty_like(model.theta)
+    opt = nn.OptimizerState.like(model.theta, 0.1, 0.5)
+    grad = opt.grad
     params = model.params
     for _ in range(3):
         assert nn.backward(head_model, features, labels, out=grad) is grad
-        nn.sgd_step(head_model, grad, opt)
+        nn.sgd_step(head_model, opt)
     assert model.params is params and opt.velocity.shape == model.theta.shape
     head = [a for i in (2, 4) for a in (model.layers[i].weights, model.layers[i].bias)]
     assert bitwise_equal(model.theta, np.concatenate([a.ravel() for a in head]))
@@ -487,13 +518,14 @@ def test_sgd_keeps_frozen_layers_bitwise_identical():
     model = make_model(split_index=2, seed=13)
     frozen_before = [model.layers[0].weights.copy(), model.layers[0].bias.copy()]
     rng = np.random.default_rng(14)
-    opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
     batch = rng.normal(size=(8, 5))
     labels = rng.integers(0, 4, size=8)
     head, features = model.head(), nn.layer_output(model, batch, model.split_index)
+    opt = nn.OptimizerState.like(head.params, learning_rate=0.1, momentum=0.5)
     theta_before = model.theta.copy()
     for _ in range(25):
-        nn.sgd_step(head, nn.backward(head, features, labels), opt)
+        nn.backward(head, features, labels, out=opt.grad)
+        nn.sgd_step(head, opt)
     assert not np.array_equal(model.theta, theta_before)
     assert np.array_equal(model.layers[0].weights, frozen_before[0])
     assert np.array_equal(model.layers[0].bias, frozen_before[1])

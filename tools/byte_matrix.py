@@ -19,6 +19,9 @@ of them the same command matrix runs at the desk preset, seeds 7 and
   `--federation.split_index 4`, a head of one dense layer (the preset's
   split is 2, and `fedavg` and `fedprox` train the whole model), and at
   `--federation.split_index 0`, a head strategy that trains the whole model;
+- `run` with all analyses at `--threads` 8 and
+  `--federation.participation_fraction 0.1`, 2 of the 20 clients per round,
+  so fewer participants than threads;
 - `analyze-cka` and `entropy-hist` at both thread counts, and again at
   `--threads` 1 with every analysis toggle on, which only `run` reads;
 - `compare` over the ten runs of the seed.
@@ -28,7 +31,7 @@ directory, so paths printed or recorded are alike. Every file written and
 every command's stdout is then compared byte for byte; `manifest.json`
 files are compared as JSON without `started_utc` and `finished_utc`. The
 exit status is 1 if anything differs or a command fails, 0 otherwise. The
-matrix runs 50 commands per side and takes a few minutes; it is not part
+matrix runs 52 commands per side and takes a few minutes; it is not part
 of the pytest suite.
 """
 
@@ -98,6 +101,11 @@ def matrix() -> list[tuple[str, list[str]]]:
             commands.append((f"{out}.stdout", [
                 "run", *seeded, *flags, "--threads", "1", "--out", out, *DATASETS, *ANALYSES,
             ]))
+        out = f"{at}/few_participants_t8"
+        commands.append((f"{out}.stdout", [
+            "run", *seeded, "--threads", "8", "--federation.participation_fraction", "0.1",
+            "--out", out, *DATASETS, *ANALYSES,
+        ]))
         for command in ("analyze-cka", "entropy-hist"):
             for threads in THREADS:
                 out = f"{at}/{command}_t{threads}"
