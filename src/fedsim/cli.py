@@ -393,7 +393,8 @@ def _open_run(config: ExperimentConfig, out: Path):
     `generate` wrote: (start time, output directory, source, `_prepare_run`
     result). A file whose class count or feature width differs from the
     config's is a ConfigError, so a manifest never records other values than
-    the run trained on.
+    the run trained on. An output directory made here is removed again if
+    the files are rejected, so a rejected command leaves none behind.
 
     The command holds the source to its end, as it did when the round loop
     took it. Freed mid-run, it leaves a heap on which later in-process
@@ -402,21 +403,28 @@ def _open_run(config: ExperimentConfig, out: Path):
     """
     started = _utc_now()
     out_dir = Path(out)
+    # made first, as relative dataset paths are resolved inside it
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = list(_dataset_paths(config, out_dir).values())
-    for path in paths:
-        if not path.exists():
-            raise ConfigError(
-                f"dataset file {path} does not exist (run `fedsim generate` first)"
-            )
-    source, target = (load_dataset(path) for path in paths)
-    for path, dataset in zip(paths, (source, target)):
-        for name in ("num_classes", "feature_dim"):
-            if getattr(dataset, name) != config.dataset[name]:
+    try:
+        for path in paths:
+            if not path.exists():
                 raise ConfigError(
-                    f"dataset file {path} has {name} {getattr(dataset, name)}, "
-                    f"but dataset.{name} is {config.dataset[name]}"
+                    f"dataset file {path} does not exist (run `fedsim generate` first)"
                 )
+        source, target = (load_dataset(path) for path in paths)
+        for path, dataset in zip(paths, (source, target)):
+            for name in ("num_classes", "feature_dim"):
+                if getattr(dataset, name) != config.dataset[name]:
+                    raise ConfigError(
+                        f"dataset file {path} has {name} {getattr(dataset, name)}, "
+                        f"but dataset.{name} is {config.dataset[name]}"
+                    )
+    except BaseException:
+        for directory in made:
+            directory.rmdir()
+        raise
     return started, out_dir, source, _prepare_run(config, source, target)
 
 

@@ -110,8 +110,9 @@ def generate_synthetic(
         direction = mean_rng.normal(size=feature_dim)
         direction /= np.linalg.norm(direction)
         mean = class_separation * direction
-        rows = slice(cls * samples_per_class, (cls + 1) * samples_per_class)
-        features[rows] = noise_rng.normal(size=(samples_per_class, feature_dim)) + mean
+        rows = features[cls * samples_per_class : (cls + 1) * samples_per_class]
+        noise_rng.standard_normal(out=rows)  # drawn in place: no temporary per class
+        rows += mean
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     name = f"synthetic-c{num_classes}-d{feature_dim}-sep{class_separation:g}-seed{seed}"
     return Dataset(features, labels, num_classes, name)

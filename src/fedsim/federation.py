@@ -46,7 +46,6 @@ from .selection import (
 log = logging.getLogger("fedsim.federation")
 
 SECONDS_PER_FLOP = 1e-9  # nominal 1 GFLOP/s client device
-FROZEN_BLOCK_ROWS = 512  # test rows per frozen-extractor call when caching phi
 
 
 @dataclass(frozen=True)
@@ -361,18 +360,23 @@ def evaluate_model(model: nn.Model, dataset: Dataset) -> tuple[float, float]:
     return accuracy, loss
 
 
-def _frozen_rows(model: nn.Model, dataset: Dataset, blocks: list, width: int) -> Dataset:
-    """`dataset` with each row replaced by its `width` frozen features phi(x).
+def _frozen_rows(model: nn.Model, dataset: Dataset, blocks: Optional[list] = None) -> Dataset:
+    """`dataset` with each row replaced by its frozen features phi(x).
 
-    Rows go through phi one block of indices at a time, so only one block's
-    activations exist beside the result. With nothing frozen phi is the
-    identity and `dataset` itself is returned.
+    phi runs on the whole dataset, which `nn.layer_output` takes in blocks
+    of rows, or, given `blocks`, on one block of indices at a time, each
+    written into the result. Either way only one block's activations exist
+    beside the result. With nothing frozen phi is the identity and `dataset`
+    itself is returned.
     """
     if model.split_index == 0:
         return dataset
-    rows = np.empty((len(dataset), width))
-    for block in blocks:
-        rows[block] = nn.layer_output(model, dataset.features[block], model.split_index)
+    if blocks is None:
+        rows = nn.layer_output(model, dataset.features, model.split_index)
+    else:
+        rows = np.empty((len(dataset), model.head().input_dim))
+        for block in blocks:
+            rows[block] = nn.layer_output(model, dataset.features[block], model.split_index)
     return Dataset(rows, dataset.labels, dataset.num_classes)
 
 
@@ -435,9 +439,11 @@ def run_federation(
     head = start.head()
     # phi is fixed from here on, so every sample goes through it once; the
     # head then selects, trains and evaluates on these rows alone.
-    test_blocks = [slice(s, s + FROZEN_BLOCK_ROWS) for s in range(0, len(test), FROZEN_BLOCK_ROWS)]
-    test_rows = _frozen_rows(start, test, test_blocks, head.input_dim)
-    train_rows = _frozen_rows(start, train, [p.sample_indices for p in partitions], head.input_dim)
+    # The pool goes through phi one partition at a time, which fixes the
+    # cached rows' bits: a product of few rows can round apart from the same
+    # rows inside a larger one (see nn.BLOCK_ROWS).
+    test_rows = _frozen_rows(start, test)
+    train_rows = _frozen_rows(start, train, [p.sample_indices for p in partitions])
     p_ds = 1.0 if strategy.selector == "all" else config.p_ds
     # at p_ds 1 every selector keeps everything, and none is charged a scoring pass
     selector = "all" if p_ds >= 1.0 else strategy.selector
@@ -539,9 +545,8 @@ def run_federation(
             ]
             # The fold's accumulator is made before the round's other
             # head-sized vectors, and those are all freed before evaluation,
-            # so the top of the heap is free for evaluation's layer outputs.
-            # Else glibc maps them afresh: +5 MiB peak RSS for a fedprox run
-            # of the 32-256-256-10 model at --threads 1.
+            # so the top of the heap is free for evaluation's layer outputs,
+            # which glibc would otherwise map afresh.
             fold = UpdateFold(sum(kept_counts[c] for c in participants), head.params.shape)
             for chosen, update in client_rounds(round_no, participants):
                 if selection_hook is not None:

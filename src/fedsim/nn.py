@@ -31,6 +31,13 @@ check runs:
 - the frozen layers: `Model.head()` views only the layers from the split on,
   so no step taken on the head can reach the layers below it.
 
+Inference on a whole split (evaluation, the frozen-feature cache, the
+entropy histogram, the CKA probes) goes through `layer_output`, which runs
+a batch of 2 * BLOCK_ROWS rows or more in blocks of BLOCK_ROWS to
+2 * BLOCK_ROWS - 1 rows. So it holds one block's activations beside its
+result, never a whole split's, and the blocks are large enough to keep the
+bits of one whole-batch product (see BLOCK_ROWS).
+
 The training loss always uses the standard softmax (temperature 1). The
 temperature-scaled variant exists for the entropy-based data selection path.
 """
@@ -49,6 +56,12 @@ from .errors import FormatError, NumericError, ParameterError, ShapeError
 CHECKPOINT_MAGIC = b"FEDFT1"
 PROB_FLOOR = 1e-12  # clamp applied to probabilities before any log
 _HALF_MAX = float(np.finfo(np.float64).max) / 2
+# The fewest rows in a block of `layer_output`. OpenBLAS (0.3.31, with numpy
+# 2.4) picks its kernel by the size of a product, and one of r rows into a
+# layer w wide rounds apart from the whole batch's when r * w <= 1200, and
+# for every r when w is 1. So blocks of at least 512 rows keep the bits of
+# one whole-batch product for every layer at least 3 wide.
+BLOCK_ROWS = 512
 
 _KIND_DENSE = 0
 _KIND_RELU = 1
@@ -276,12 +289,24 @@ def layer_output(model: Model, batch: np.ndarray, stop: int) -> np.ndarray:
     batch itself, stop split_index the frozen features (the head's input).
     Bias and relu are applied in place, but only on arrays this call
     allocated, never on the caller's batch, so at most one layer's input and
-    output exist at a time. Run to the last layer it returns the logits and,
-    like forward(), raises NumericError if any is non-finite.
+    output exist at a time. A batch of n >= 2 * BLOCK_ROWS rows runs as
+    n // BLOCK_ROWS blocks of near-equal size, each of BLOCK_ROWS to
+    2 * BLOCK_ROWS - 1 rows, one at a time into one result allocated up
+    front; so beside the result at most one block's activations exist. Run
+    to the last layer it returns the logits and, like forward(), raises
+    NumericError if any is non-finite.
     """
     if not 0 <= stop <= len(model.layers):
         raise ParameterError(f"stop {stop} out of range for {len(model.layers)} layers")
     batch = _as_batch(model, batch)
+    count = len(batch) // BLOCK_ROWS
+    if stop > 0 and count > 1:
+        widths = [layer.out_dim for layer in model.layers[:stop] if isinstance(layer, DenseLayer)]
+        out = np.empty((len(batch), widths[-1] if widths else batch.shape[1]))
+        bounds = [len(batch) * i // count for i in range(count + 1)]
+        for start, end in zip(bounds, bounds[1:]):
+            out[start:end] = layer_output(model, batch[start:end], stop)
+        return out
     x = batch
     for layer in model.layers[:stop]:
         if isinstance(layer, DenseLayer):

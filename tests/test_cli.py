@@ -206,6 +206,28 @@ def test_dataset_files_that_disagree_with_the_config_are_rejected(
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", ["run", "analyze-cka", "entropy-hist"])
+@pytest.mark.parametrize("files, flags", [
+    (("nope_s.feds", "nope_t.feds"), []),
+    (("source.feds", "target.feds"), ["--dataset.num_classes", "5"]),
+], ids=["missing", "mismatched"])
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_rejected_dataset_files_leave_no_output_directory(
+    tmp_path, capsys, command, files, flags, relative
+):
+    # the directory, two levels of it new, is made to resolve relative paths
+    # in, and removed again when the files are rejected
+    generate(tmp_path / "gen")
+    given = [(Path("../../gen") if relative else tmp_path / "gen") / name for name in files]
+    out = tmp_path / "new" / "out"
+    args = [command, "--out", out, "--seed", 5, *TINY, *flags,
+            "--dataset.source_path", given[0], "--dataset.target_path", given[1]]
+    capsys.readouterr()
+    assert run_cli(args) == 2
+    assert f"dataset file {tmp_path / 'new' / 'out' / given[0]} " in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_run_rejects_zero_threads_before_compute(tmp_path, capsys):
     out = tmp_path / "threads"
     generate(out)
@@ -479,8 +501,8 @@ def test_cka_with_one_participant_is_rejected_before_any_read(tmp_path, capsys, 
     out = tmp_path / "cka"
     assert run_cli([command[0], "--out", out, "--seed", 5, *TINY, *command[1:], *clients]) == 2
     assert "CKA needs 2 or more round-1 client models" in capsys.readouterr().err
-    # rejected while building the config: the output directory, made before
-    # the dataset files are looked for, does not exist either
+    # rejected while building the config, before the output directory is
+    # made: it does not exist either
     assert not out.exists()
 
 

@@ -179,11 +179,14 @@ def test_pretrain_is_deterministic():
 
 def test_evaluation_holds_one_layer_output_at_a_time():
     # a full-model (split 0) evaluation keeps no activation it does not read:
-    # at most a layer's input and output are alive, never every layer's
-    model = nn.build_mlp(32, (128, 128), 10, split_index=0, seed=12)
+    # at most one block's layer input and output are alive, never every
+    # layer's nor a whole split's, beside the (n, classes) logits, softmax
+    # steps and probabilities
+    n, classes = 5000, 10
+    model = nn.build_mlp(32, (128, 128), classes, split_index=0, seed=12)
     rng = np.random.default_rng(13)
-    test = data.Dataset(rng.normal(size=(1000, 32)), rng.integers(0, 10, 1000), 10)
-    layer_bytes = 1000 * 128 * 8
+    test = data.Dataset(rng.normal(size=(n, 32)), rng.integers(0, classes, n), classes)
+    block_bytes = nn.BLOCK_ROWS * 128 * 8
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -191,7 +194,7 @@ def test_evaluation_holds_one_layer_output_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before <= 2.5 * layer_bytes
+    assert peak - before <= 2.5 * block_bytes + 5 * n * classes * 8
 
 
 # --- local updates ----------------------------------------------------------------

@@ -4,7 +4,10 @@
 The matrix runs at the `TINY` settings of `test_cli.py`, seed 5: `generate`;
 `run` for each of the five strategies with CKA, the entropy histograms and
 the selection dump; `run` for `fedprox` at `--threads 3` with the same
-analyses; `analyze-cka`; and `entropy-hist`. `golden.json` holds the sha256
+analyses; `analyze-cka`; and `entropy-hist`. Then, on a larger `generate`
+whose test split has 1,152 rows and whose training pool has 768, `run` for
+`fedprox` and `fedft_eds` with the same analyses, so that inference runs
+in more than one block of `nn.BLOCK_ROWS` rows. `golden.json` holds the sha256
 of every file written and of every command's stdout. A manifest is hashed as
 canonical JSON without its timestamps.
 
@@ -41,6 +44,9 @@ DATASETS = ["--dataset.source_path", "../gen/source.feds",
             "--dataset.target_path", "../gen/target.feds"]
 ANALYSES = ["--analysis.cka", "true", "--analysis.entropy_histogram", "true",
             "--analysis.selection_dump", "true"]
+# 4 x 600 samples, 480 of each class in the target: 1,152 test rows, 768 to train
+BLOCKS = ["--dataset.samples_per_class", "600", "--dataset.source_fraction", "0.2",
+          "--dataset.test_fraction", "0.6"]
 
 
 def matrix() -> list[tuple[str, list[str]]]:
@@ -55,6 +61,13 @@ def matrix() -> list[tuple[str, list[str]]]:
                                         *DATASETS, *ANALYSES]))
     for command in ("analyze-cka", "entropy-hist"):
         commands.append((command, [command, *SEEDED, "--out", command, *DATASETS]))
+    commands.append(("blocks_gen", ["generate", *SEEDED, *BLOCKS, "--out", "blocks_gen"]))
+    for strategy in ("fedprox", "fedft_eds"):
+        out = f"blocks_{strategy}"
+        commands.append((out, ["run", *SEEDED, *BLOCKS, "--strategy", strategy, "--out", out,
+                               "--dataset.source_path", "../blocks_gen/source.feds",
+                               "--dataset.target_path", "../blocks_gen/target.feds",
+                               *ANALYSES]))
     return commands
 
 

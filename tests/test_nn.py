@@ -138,6 +138,72 @@ def test_frozen_features_never_mutates_its_input(case):
         assert stop == 0 or not np.shares_memory(out, batch)
 
 
+# --- inference in blocks of rows ---------------------------------------------
+
+
+class SpyWeights:
+    """Dense weights that record the row count of every product taken with
+    them: numpy defers `x @ spy.T` to `__rmatmul__`, as the spy opts out of
+    ufuncs."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, weights, rows):
+        self.weights, self.shape, self.rows = weights, weights.shape, rows
+
+    @property
+    def T(self):
+        return self
+
+    def __rmatmul__(self, x):
+        self.rows.append(len(x))
+        return x @ self.weights.T
+
+
+def wide_case(rows=1300):
+    model = nn.build_mlp(6, (40, 24), 3, split_index=2, seed=21)
+    batch = np.random.default_rng(22).normal(scale=2.0, size=(rows, 6))
+    return model, batch
+
+
+def test_layer_output_in_blocks_keeps_the_whole_batch_bits():
+    # 1,040 rows run as two blocks of 520, which take the OpenBLAS kernels of
+    # the whole batch's products: forward()'s activations, bit for bit. Blocks
+    # of 512, 512 and 16 rows would not; the 16-row products into the
+    # 64-wide layers round apart.
+    model = nn.build_mlp(32, (64, 64), 10, 0, seed=21)
+    batch = np.random.default_rng(22).normal(scale=2.0, size=(1040, 32))
+    _, activations = nn.forward(model, batch)
+    for stop in range(1, len(model.layers) + 1):
+        assert bitwise_equal(nn.layer_output(model, batch, stop), activations[stop - 1])
+
+
+@pytest.mark.parametrize("rows, blocks", [
+    (1023, [1023]),
+    (1024, [512, 512]),
+    (1300, [650, 650]),
+    (5000, [555, 556] * 4 + [556]),
+])
+def test_layer_output_multiplies_a_block_of_rows_at_a_time(rows, blocks):
+    # n // 512 blocks of near-equal size, for BLOCK_ROWS 512
+    model, batch = wide_case(rows)
+    seen = []
+    for layer in model.layers:
+        if isinstance(layer, nn.DenseLayer):
+            object.__setattr__(layer, "weights", SpyWeights(layer.weights, seen))
+    nn.layer_output(model, batch, len(model.layers))
+    # every block through each of the three dense layers in turn
+    assert seen == [count for count in blocks for _ in range(3)]
+
+
+def test_layer_output_checks_the_logits_of_the_last_block():
+    model, batch = wide_case()
+    batch[-1, 0] = np.nan  # quiet NaNs pass through the products without a warning
+    nn.layer_output(model, batch, model.split_index)  # features are not checked
+    with pytest.raises(NumericError):
+        nn.layer_output(model, batch, len(model.layers))
+
+
 def test_frozen_features_rejects_bad_width():
     model = make_model(split_index=2)
     with pytest.raises(ShapeError):

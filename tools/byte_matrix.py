@@ -24,14 +24,18 @@ of them the same command matrix runs at the desk preset, seeds 7 and
   so fewer participants than threads;
 - `analyze-cka` and `entropy-hist` at both thread counts, and again at
   `--threads` 1 with every analysis toggle on, which only `run` reads;
-- `compare` over the ten runs of the seed.
+- `compare` over the ten runs of the seed;
+- a second `generate` at `--dataset.source_fraction 0.3`, and on it `run`
+  with all analyses at `--threads` 1 for `fedprox` and `fedft_eds` at
+  `--dataset.test_fraction 0.6`: a test split of 1,050 rows and a training
+  pool of 700, so that inference runs in blocks (`nn.BLOCK_ROWS`).
 
 Every command runs in the same relative directory of its side's work
 directory, so paths printed or recorded are alike. Every file written and
 every command's stdout is then compared byte for byte; `manifest.json`
 files are compared as JSON without `started_utc` and `finished_utc`. The
 exit status is 1 if anything differs or a command fails, 0 otherwise. The
-matrix runs 52 commands per side and takes a few minutes; it is not part
+matrix runs 58 commands per side and takes a few minutes; it is not part
 of the pytest suite.
 """
 
@@ -68,6 +72,10 @@ DATASETS = ["--dataset.source_path", "../gen/source.feds",
 ANALYSES = ["--analysis.cka", "true", "--analysis.entropy_histogram", "true",
             "--analysis.selection_dump", "true"]
 TIMESTAMPS = ("started_utc", "finished_utc")
+# 1,750 target samples, of which 1,050 are held out for the test split
+BLOCKS = ["--dataset.source_fraction", "0.3", "--dataset.test_fraction", "0.6"]
+BLOCKS_DATASETS = ["--dataset.source_path", "../blocks_gen/source.feds",
+                   "--dataset.target_path", "../blocks_gen/target.feds"]
 
 
 def matrix() -> list[tuple[str, list[str]]]:
@@ -118,6 +126,14 @@ def matrix() -> list[tuple[str, list[str]]]:
             ]))
         commands.append((f"{at}/compare.stdout",
                          ["compare", *runs, "--out-file", f"{at}/compare.csv"]))
+        commands.append((f"{at}/blocks_gen.stdout",
+                         ["generate", *seeded, *BLOCKS, "--out", f"{at}/blocks_gen"]))
+        for strategy in PLAIN_STRATEGIES:
+            out = f"{at}/blocks_{strategy}"
+            commands.append((f"{out}.stdout", [
+                "run", *seeded, *BLOCKS, "--strategy", strategy, "--threads", "1", "--out", out,
+                *BLOCKS_DATASETS, *ANALYSES,
+            ]))
     return commands
 
 
