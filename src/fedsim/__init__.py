@@ -3,7 +3,9 @@
 __version__ = "0.1.0"
 
 from .data import ClientPartition, Dataset, PartitionSpec
-from .federation import FederationConfig, RoundReport, initial_model, run_federation
+from .federation import (
+    FederationConfig, RoundReport, RunPlan, initial_model, plan_run, run_federation
+)
 from .nn import Model
 
 __all__ = [
@@ -13,7 +15,9 @@ __all__ = [
     "PartitionSpec",
     "FederationConfig",
     "RoundReport",
+    "RunPlan",
     "initial_model",
+    "plan_run",
     "run_federation",
     "Model",
 ]

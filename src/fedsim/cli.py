@@ -35,9 +35,7 @@ from . import rng as streams
 from .data import (
     ClientPartition,
     Dataset,
-    PartitionSpec,
     concat_datasets,
-    dirichlet_partition,
     generate_synthetic,
     load_dataset,
     open_csv,
@@ -51,6 +49,7 @@ from .federation import (
     FederationConfig,
     initial_model,
     participant_count,
+    plan_run,
     read_reports_csv,
     run_federation,
     write_reports_csv,
@@ -365,67 +364,45 @@ def _build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return source, target
 
 
-def _prepare_run(config: ExperimentConfig, source: Dataset, target: Dataset):
-    """(start model, training pool, test split) of a run.
-
-    The held-out test split comes off the target, and `initial_model` builds
-    the start model and pretrains it on the source.
-    """
+def _split_and_plan(config: ExperimentConfig, target: Dataset, trains: bool):
+    """(training pool, test split, plan) of a run, in memory: the test split
+    comes off the target, and a command that trains plans its rounds on the
+    rest (for one that does not, the plan is None)."""
     master = config.federation.master_seed
     train, test = stratified_split(
         target, config.dataset["test_fraction"], derive_seed(master, streams.SPLIT, 1)
     )
-    return initial_model(config.federation, source, train), train, test
+    return train, test, plan_run(config.federation, train, config.alpha) if trains else None
 
 
-def _partition(config: ExperimentConfig, train: Dataset):
-    """The clients' shares of the training pool, for the commands that train."""
-    spec = PartitionSpec(
-        num_clients=config.federation.num_clients,
-        alpha=config.alpha,
-        seed=derive_seed(config.federation.master_seed, streams.PARTITION),
-    )
-    return dirichlet_partition(train, spec)
-
-
-def _open_run(config: ExperimentConfig, out: Path):
+def _open_run(config: ExperimentConfig, out_dir: Path, trains: bool):
     """Set up `run`, `analyze-cka` or `entropy-hist` on the dataset files that
-    `generate` wrote: (start time, output directory, source, `_prepare_run`
-    result). A file whose class count or feature width differs from the
-    config's is a ConfigError, so a manifest never records other values than
-    the run trained on. An output directory made here is removed again if
-    the files are rejected, so a rejected command leaves none behind.
+    `generate` wrote: (source, start model, training pool, test split, plan).
+
+    A file whose class count or feature width differs from the config's is
+    a ConfigError, so a manifest never records other values than the run
+    trained on. The run is planned before the start model is pretrained, so
+    a plan that cannot be made costs no pretraining.
 
     The command holds the source to its end, as it did when the round loop
     took it. Freed mid-run, it leaves a heap on which later in-process
     `generate` runs page-fault: perfbench's desk-eds `setup_s` read 17–34%
     slower.
     """
-    started = _utc_now()
-    out_dir = Path(out)
-    # made first, as relative dataset paths are resolved inside it
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = list(_dataset_paths(config, out_dir).values())
-    try:
-        for path in paths:
-            if not path.exists():
+    for path in paths:
+        if not path.exists():
+            raise ConfigError(f"dataset file {path} does not exist (run `fedsim generate` first)")
+    source, target = (load_dataset(path) for path in paths)
+    for path, dataset in zip(paths, (source, target)):
+        for name in ("num_classes", "feature_dim"):
+            if getattr(dataset, name) != config.dataset[name]:
                 raise ConfigError(
-                    f"dataset file {path} does not exist (run `fedsim generate` first)"
+                    f"dataset file {path} has {name} {getattr(dataset, name)}, "
+                    f"but dataset.{name} is {config.dataset[name]}"
                 )
-        source, target = (load_dataset(path) for path in paths)
-        for path, dataset in zip(paths, (source, target)):
-            for name in ("num_classes", "feature_dim"):
-                if getattr(dataset, name) != config.dataset[name]:
-                    raise ConfigError(
-                        f"dataset file {path} has {name} {getattr(dataset, name)}, "
-                        f"but dataset.{name} is {config.dataset[name]}"
-                    )
-    except BaseException:
-        for directory in made:
-            directory.rmdir()
-        raise
-    return started, out_dir, source, _prepare_run(config, source, target)
+    train, test, plan = _split_and_plan(config, target, trains)
+    return source, initial_model(config.federation, source, train), train, test, plan
 
 
 def _round_one_capture(start: nn.Model):
@@ -444,14 +421,18 @@ def _round_one_capture(start: nn.Model):
 
 
 @contextmanager
-def _staged(out_dir: Path, outputs: dict[str, Path]):
-    """Yield `stage(name)`, the temporary path that output `name` is written
-    to, next to its final path in `out_dir`; `outputs` gets the final path.
+def _staged(out: Path, outputs: dict[str, Path]):
+    """Make the output directory `out`, with any missing parents, and yield
+    it with `stage(name)`, the temporary path that output `name` is written
+    to, next to its final path in it; `outputs` gets the final path.
 
     When the block exits normally every staged file is renamed into place;
-    when it raises, every one is deleted, so a failed command leaves the
-    directory as it found it.
+    when it raises, every one is deleted, then every directory made here,
+    so a failed command leaves the file system as it found it.
     """
+    out_dir = Path(out)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
     staged: dict[Path, Path] = {}
 
     def stage(name: str) -> Path:
@@ -460,10 +441,12 @@ def _staged(out_dir: Path, outputs: dict[str, Path]):
         return staged[outputs[name]]
 
     try:
-        yield stage
+        yield out_dir, stage
     except BaseException:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
         raise
     for path, tmp in staged.items():
         os.replace(tmp, path)
@@ -508,9 +491,9 @@ def _fmt(value: float) -> str:
 def cmd_generate(args: argparse.Namespace) -> int:
     config = build_config(args)
     started = _utc_now()
+    source, target = _build_datasets(config)  # built first: one that fails makes no directory
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    source, target = _build_datasets(config)
     outputs = _dataset_paths(config, out_dir)
     source_path, target_path = outputs.values()
     save_dataset(source, source_path)
@@ -538,23 +521,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     trains = view != "entropy_histogram"
     if "cka" in analyses:  # validate checks it only when the toggle is on
         _require_cka_pair(config.federation)
-    started, out_dir, _source, (start, train, test) = _open_run(config, args.out)
-    captured, capture = _round_one_capture(start)
+    started = _utc_now()
     outputs: dict[str, Path] = {}
     lines: list[str] = []
-    # every output is renamed into place only once all of them are written
-    with _staged(out_dir, outputs) as stage:
+    # every output is renamed into place only once all of them are written;
+    # the directory is made first, as relative dataset paths resolve inside it
+    with _staged(args.out, outputs) as (out_dir, stage):
+        _source, start, train, test, plan = _open_run(config, out_dir, trains)
+        captured, capture = _round_one_capture(start)
         if trains:
-            partitions = _partition(config, train)
             dump = nullcontext()
             if "selection_dump" in analyses:
-                dump = _selection_dump(stage("selection_dump.csv"), partitions, len(train))
+                dump = _selection_dump(stage("selection_dump.csv"), plan.partitions, len(train))
             with dump as selection_hook:
                 reports = run_federation(
-                    config.federation,
+                    plan,
                     start,
-                    train,
-                    partitions,
                     test,
                     threads=args.threads,
                     upload_hook=capture if "cka" in analyses else None,

@@ -1,23 +1,24 @@
-"""Pretraining, then the round loop: client sampling, local updates, aggregation.
+"""Pretraining, the run plan, then the round loop: local updates, aggregation.
 
-The caller builds the start model once with `initial_model` (built from the
-master seed, then pretrained whole on the source domain, the same for every
-strategy) and hands it to `run_federation`, which sets the split that the
-strategy trains and trains it in place. A strategy name stands for one
-entry of `STRATEGIES`: the part trained, the selector and the FedProx pull.
-One round samples the participating clients and runs one job each: select a
-per-round training subset, then run E local epochs on it. The uploaded
-heads are aggregated weighted by the number of samples each client trained
-on; every selector keeps a count fixed by the client's size, so the total
-weight is known before any job runs and each upload is folded in as it
-arrives. The frozen feature extractor is fixed once pretraining ends, so
-its output is computed once per sample and the rounds run on the head alone.
+`plan_run` fixes all a run decides before it trains, from the config and the
+training pool alone: the clients' partitions, the entry of `STRATEGIES` that
+the strategy name stands for (the part trained, the selector and the FedProx
+pull), each client's kept count and each round's participants. The caller
+builds the start model once with `initial_model` (built from the master
+seed, then pretrained whole on the source domain, the same for every
+strategy); `run_federation` sets the split the plan trains and trains it in
+place. A round runs one job per participant: select a per-round training
+subset, then run E local epochs on it. The uploaded heads are aggregated
+weighted by the number of samples each client trained on, which the plan
+fixes, so each upload is folded in as it arrives. The frozen feature
+extractor is fixed once pretraining ends, so its output is computed once per
+sample and the rounds run on the head alone.
 
 Client "training time" is a deterministic device-effort model (sample visits
 times the full model's per-sample cost at a nominal 1 GFLOP/s), not measured
 wall clock, so that identical seeds give byte-identical reports regardless of
-scheduling. Its inputs are all known before round 1, so the round loop fixes
-each client's charge then and adds it as that client's update is folded.
+scheduling. Its inputs are the plan and the model, so the round loop fixes
+each client's charge before round 1 and adds it as its update is folded.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import nn
 from . import rng as streams
-from .data import ClientPartition, Dataset, partition_covers, write_csv
+from .data import ClientPartition, Dataset, PartitionSpec, dirichlet_partition, write_csv
 from .errors import ConfigError, NumericError, ParameterError, ProtocolError
 from .rng import derive_rng, derive_seed
 from .selection import (
@@ -204,12 +205,15 @@ def pretrain(
     """Train every layer on the source domain; returns a new model.
 
     Training covers every layer of the model it is handed, whatever its
-    split, and the copy keeps that split.
+    split, and the copy keeps that split. A NumericError names the phase.
     """
     trained = model.copy()
     opt = nn.OptimizerState.like(trained.params, learning_rate, momentum)
     epoch_seeds = [derive_seed(seed, epoch) for epoch in range(epochs)]
-    _run_epochs(trained, source.features, source.labels, batch_size, epoch_seeds, opt)
+    try:
+        _run_epochs(trained, source.features, source.labels, batch_size, epoch_seeds, opt)
+    except NumericError as exc:
+        raise NumericError(f"pretraining: {exc}") from exc
     return trained
 
 
@@ -340,15 +344,48 @@ def participant_count(num_clients: int, participation_fraction: float) -> int:
     return min(num_clients, max(1, round(participation_fraction * num_clients)))
 
 
-def sample_participants(num_clients: int, participation_fraction: float, round_seed: int) -> np.ndarray:
-    """Ascending ids of the `participant_count` clients active this round."""
-    if not 0.0 < participation_fraction <= 1.0:
-        raise ParameterError(
-            f"participation_fraction must be in (0, 1], got {participation_fraction}"
-        )
-    count = participant_count(num_clients, participation_fraction)
-    rng = derive_rng(round_seed)
-    return np.sort(rng.choice(num_clients, size=count, replace=False))
+@dataclass(frozen=True)
+class RunPlan:
+    """What a run decides from its config and training pool before it trains:
+    `kept[c]` is the count client c trains on in each round it takes part
+    in, and `participants[r - 1]` the ascending ids of round r's clients."""
+
+    config: FederationConfig
+    train: Dataset
+    partitions: list[ClientPartition]
+    split_index: int  # the first layer trained: 0 for the whole model
+    selector: str  # "entropy", "random", or "all" at p_ds 1, where none scores
+    p_ds: float
+    prox_mu: float  # 0 for a strategy with no pull
+    kept: list[int]
+    participants: list[list[int]]
+
+
+def plan_run(config: FederationConfig, train: Dataset, alpha: float) -> RunPlan:
+    """The plan of `config` on `train`, partitioned by Dir(`alpha`). A config
+    that does not validate or a pool too small for its clients fails here."""
+    config.validate()
+    master = config.master_seed
+    strategy = STRATEGIES[config.strategy]
+    spec = PartitionSpec(config.num_clients, alpha, derive_seed(master, streams.PARTITION))
+    partitions = dirichlet_partition(train, spec)
+    p_ds = 1.0 if strategy.selector == "all" else config.p_ds
+    count = participant_count(config.num_clients, config.participation_fraction)
+    seeds = [derive_seed(master, streams.PARTICIPANTS, r) for r in range(1, config.rounds + 1)]
+    return RunPlan(
+        config=config,
+        train=train,
+        partitions=partitions,
+        split_index=0 if strategy.whole_model else config.split_index,
+        selector="all" if p_ds >= 1.0 else strategy.selector,
+        p_ds=p_ds,
+        prox_mu=config.prox_mu if strategy.proximal else 0.0,
+        kept=[selection_count(len(part), p_ds) for part in partitions],
+        participants=[
+            sorted(derive_rng(seed).choice(config.num_clients, count, replace=False).tolist())
+            for seed in seeds
+        ],
+    )
 
 
 def evaluate_model(model: nn.Model, dataset: Dataset) -> tuple[float, float]:
@@ -381,43 +418,33 @@ def _frozen_rows(model: nn.Model, dataset: Dataset, blocks: Optional[list] = Non
 
 
 def run_federation(
-    config: FederationConfig,
+    plan: RunPlan,
     start: nn.Model,
-    train: Dataset,
-    partitions: list[ClientPartition],
     test: Dataset,
     threads: int = 1,
     upload_hook: Optional[Callable[[int, int, np.ndarray], None]] = None,
     selection_hook: Optional[Callable[[int, int, SelectionResult], None]] = None,
 ) -> list[RoundReport]:
-    """T rounds of select/update/aggregate, training `start` in place.
+    """The rounds of `plan`, select/update/aggregate, training `start` in place.
 
     `start` is the pretrained global model from `initial_model`; its widths
-    must match `train` and `config`, and its split is set here to the one
-    the strategy trains: 0 for the whole model, else `config.split_index`.
-    After the call it is the global model after the last round. `train` is the
-    client-side pool covered by `partitions`; `test` is the held-out split
-    evaluated after every round. Each participant's round is one job,
-    selection then local update, run inline at `threads` 1 and on a pool of
-    `threads` workers otherwise, with at most 2 * threads jobs submitted
-    ahead of the one being folded. Every head-sized vector a job trains is
-    made on the calling thread: its upload, a copy of the global head made
-    as the job is submitted, and an optimizer with its vectors that it takes
-    for the job and gives back; a round makes min(threads, participants)
-    optimizers. After the round one copy puts the folded sum into the
-    global head, which is stored in `start.theta`. Hooks fire on the main
-    thread in ascending client order, `selection_hook` before `upload_hook`,
-    as each client's update is folded into the global head; `upload_hook`
-    gets the client's head vector, laid out like `start.theta`. Returns the
-    round reports.
+    must match the plan's config and training pool, and its split is set
+    here to the one the plan trains. After the call it is the global model
+    after the last round. `test` is the held-out split evaluated after every
+    round. Each participant's round is one job, selection then local update,
+    run inline at `threads` 1 and on a pool of `threads` workers otherwise,
+    with at most 2 * threads jobs submitted ahead of the one being folded.
+    Every head-sized vector a job trains is made on the calling thread: its
+    upload, a copy of the global head made as the job is submitted, and an
+    optimizer with its vectors that it takes for the job and gives back; a
+    round makes min(threads, participants) optimizers. After the round one
+    copy puts the folded sum into the global head, which is stored in
+    `start.theta`. Hooks fire on the main thread in ascending client order,
+    `selection_hook` before `upload_hook`, as each client's update is folded
+    into the global head; `upload_hook` gets the client's head vector, laid
+    out like `start.theta`. Returns the round reports.
     """
-    config.validate()
-    if len(partitions) != config.num_clients:
-        raise ConfigError(
-            f"got {len(partitions)} partitions for {config.num_clients} clients"
-        )
-    if not partition_covers(partitions, len(train)):
-        raise ConfigError("partitions must be a disjoint cover of the training pool")
+    config, train, partitions = plan.config, plan.train, plan.partitions
     if test.feature_dim != train.feature_dim or test.num_classes != train.num_classes:
         raise ConfigError("test dataset is incompatible with the training pool")
     widths = [train.feature_dim, *config.hidden_sizes, train.num_classes]
@@ -430,10 +457,8 @@ def run_federation(
             f"need {widths}"
         )
 
-    master = config.master_seed
-    strategy = STRATEGIES[config.strategy]
-    # the layers trained: the whole model, or the head above the config's split
-    start.split_index = 0 if strategy.whole_model else config.split_index
+    master, selector, p_ds = config.master_seed, plan.selector, plan.p_ds
+    start.split_index = plan.split_index
     # The head is stored in `start.theta`: aggregating into the head updates
     # `start`, which stays the global model, frozen part and all.
     head = start.head()
@@ -444,25 +469,18 @@ def run_federation(
     # rows inside a larger one (see nn.BLOCK_ROWS).
     test_rows = _frozen_rows(start, test)
     train_rows = _frozen_rows(start, train, [p.sample_indices for p in partitions])
-    p_ds = 1.0 if strategy.selector == "all" else config.p_ds
-    # at p_ds 1 every selector keeps everything, and none is charged a scoring pass
-    selector = "all" if p_ds >= 1.0 else strategy.selector
     # the optimizers' constants; at prox_mu 0 no pull vector is made
-    rates = (config.learning_rate, config.momentum, config.prox_mu if strategy.proximal else 0.0)
-    # Every selector keeps selection_count(n, p_ds) samples, so each round's
-    # total weight is known before any job runs and each update can be folded
-    # into the head as it arrives, then dropped.
-    kept_counts = [selection_count(len(part), p_ds) for part in partitions]
-    # So each client's device time is fixed too: scoring is one forward per
-    # sample, training E epochs over the kept samples; every forward is
-    # charged for the full model, frozen part included, and every backward
-    # for the head that is trained.
+    rates = (config.learning_rate, config.momentum, plan.prox_mu)
+    # Each client's device time is fixed by the plan's kept counts: scoring
+    # is one forward per sample, training E epochs over the kept samples;
+    # every forward is charged for the full model, frozen part included, and
+    # every backward for the head that is trained.
     forward_flops = nn.forward_flops_per_sample(start)
     train_flops = forward_flops + nn.backward_flops_per_sample(head)
     device_seconds = [
         (len(part) * forward_flops * SECONDS_PER_FLOP if selector == "entropy" else 0.0)
         + config.local_epochs * kept * train_flops * SECONDS_PER_FLOP
-        for part, kept in zip(partitions, kept_counts)
+        for part, kept in zip(partitions, plan.kept)
     ]
     cumulative_time = 0.0
     reports: list[RoundReport] = []
@@ -534,20 +552,12 @@ def run_federation(
                 for future in ahead:
                     future.cancel()
 
-        for round_no in range(1, config.rounds + 1):
-            participants = [
-                int(cid)
-                for cid in sample_participants(
-                    config.num_clients,
-                    config.participation_fraction,
-                    derive_seed(master, streams.PARTICIPANTS, round_no),
-                )
-            ]
+        for round_no, participants in enumerate(plan.participants, start=1):
             # The fold's accumulator is made before the round's other
             # head-sized vectors, and those are all freed before evaluation,
             # so the top of the heap is free for evaluation's layer outputs,
             # which glibc would otherwise map afresh.
-            fold = UpdateFold(sum(kept_counts[c] for c in participants), head.params.shape)
+            fold = UpdateFold(sum(plan.kept[c] for c in participants), head.params.shape)
             for chosen, update in client_rounds(round_no, participants):
                 if selection_hook is not None:
                     selection_hook(round_no, update.client_id, chosen)

@@ -17,6 +17,7 @@ from fedsim.data import PartitionSpec, dirichlet_partition
 from fedsim.federation import (
     ClientUpdate,
     aggregate,
+    initial_model,
     run_federation,
 )
 
@@ -54,22 +55,23 @@ def desk_config(master_seed, dataset_overrides=None, **federation_overrides):
 
 
 def desk_inputs(config):
-    """(pretrained model, train, test, partitions), built as `fedsim run` builds them."""
-    start, train, test = cli._prepare_run(config, *cli._build_datasets(config))
-    return start, train, test, cli._partition(config, train)
+    """(pretrained model, target), built as `fedsim run` builds them; each
+    run splits the target and plans its rounds on it."""
+    source, target = cli._build_datasets(config)
+    train, _, _ = cli._split_and_plan(config, target, trains=False)
+    return initial_model(config.federation, source, train), target
 
 
 def desk_run(config, inputs, hook=None):
-    """Round reports of a run from a copy of the pretrained model in `inputs`.
+    """(round reports, test split) of a run from a copy of the pretrained
+    model in `inputs`, split and planned as `fedsim run` plans it.
 
     One pretrained model serves every strategy: the run sets the split it
     trains, and trains its copy in place.
     """
-    pretrained, train, test, partitions = inputs
-    start = pretrained.copy()
-    return run_federation(
-        config.federation, start, train, partitions, test, upload_hook=hook
-    )
+    pretrained, target = inputs
+    _, test, plan = cli._split_and_plan(config, target, trains=True)
+    return run_federation(plan, pretrained.copy(), test, upload_hook=hook), test
 
 
 _INPUTS: dict = {}
@@ -84,7 +86,7 @@ def cached_run(strategy, p_ds, pretrain_epochs, seed):
         )
         if (pretrain_epochs, seed) not in _INPUTS:
             _INPUTS[pretrain_epochs, seed] = desk_inputs(config)
-        _RUN_CACHE[key] = desk_run(config, _INPUTS[pretrain_epochs, seed])
+        _RUN_CACHE[key], _ = desk_run(config, _INPUTS[pretrain_epochs, seed])
     return _RUN_CACHE[key]
 
 
@@ -364,8 +366,8 @@ def _one_round_client_models(seed, pretrain_epochs):
     # the CLI's capture, on the pretrained model: the run trains a copy of it
     # and fedavg leaves no frozen part, so each upload is a whole model
     captured, hook = cli._round_one_capture(inputs[0])
-    desk_run(config, inputs, hook=hook)
-    return [m for _, m in sorted(captured, key=lambda item: item[0])], inputs[2]
+    _, test = desk_run(config, inputs, hook=hook)
+    return [m for _, m in sorted(captured, key=lambda item: item[0])], test
 
 
 def test_criterion_8_cka_model_shift():

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim
-from fedsim import cli, data, nn
+from fedsim import cli, data, federation, nn
 from fedsim import rng as streams
 from fedsim.errors import ConfigError, NumericError
 from fedsim.federation import pretrain
@@ -226,6 +226,56 @@ def test_rejected_dataset_files_leave_no_output_directory(
     assert run_cli(args) == 2
     assert f"dataset file {tmp_path / 'new' / 'out' / given[0]} " in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
+
+
+def test_a_generate_that_fails_makes_no_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "gen"
+    flags = ["--dataset.samples_per_class", "1", "--dataset.source_fraction", "0.1"]
+    assert run_cli(["generate", "--out", out, "--seed", 5, *TINY, *flags]) == 2
+    assert "stratified split left one side empty" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def _in_a_new_directory(tmp_path, command, *flags):
+    """Exit code of `command` on TINY files generated in tmp_path/gen and
+    given by absolute path, with --out tmp_path/new/out, two levels of it new."""
+    generate(tmp_path / "gen")
+    paths = [tmp_path / "gen" / "source.feds", tmp_path / "gen" / "target.feds"]
+    return run_cli([
+        command, "--out", tmp_path / "new" / "out", "--seed", 5, *TINY, *flags,
+        "--dataset.source_path", paths[0], "--dataset.target_path", paths[1],
+    ])
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "error: pretraining: forward pass produced non-finite logits"),
+    (["--federation.pretrain_epochs", "0", "--p-ds", "1.0", "--strategy", "fedavg"],
+     "error: round 1, client 0: forward pass produced non-finite logits"),
+], ids=["pretraining", "round 1"])
+def test_a_run_that_diverges_leaves_no_output_directory(tmp_path, capsys, flags, message):
+    with np.errstate(all="ignore"):
+        code = _in_a_new_directory(tmp_path, "run", "--federation.learning_rate", "1e200", *flags)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "analyze-cka"])
+def test_a_plan_that_cannot_be_made_is_rejected_before_pretraining(
+    tmp_path, capsys, monkeypatch, command
+):
+    pretrained, real = [], federation.pretrain
+
+    def spy(*args, **kwargs):
+        pretrained.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "pretrain", spy)
+    code = _in_a_new_directory(tmp_path, command, "--federation.num_clients", "500")
+    assert code == 2
+    assert "cannot give 500 clients nonempty shares of 52 samples" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    assert pretrained == []
 
 
 def test_run_rejects_zero_threads_before_compute(tmp_path, capsys):
@@ -659,8 +709,8 @@ def test_a_failed_run_leaves_no_selection_dump(tmp_path, capsys, monkeypatch):
     generate(out)
     temporary = out / "selection_dump.csv.tmp"
 
-    def diverging_run(config, start, train, partitions, test, threads, selection_hook, **hooks):
-        for part in partitions[:2]:
+    def diverging_run(plan, start, test, threads, selection_hook, **hooks):
+        for part in plan.partitions[:2]:
             selection_hook(1, part.client_id, SelectionResult(part.sample_indices[:1], None))
         assert temporary.exists()  # opened before the rounds, written as they run
         raise NumericError("round 1, client 1: non-finite parameters")

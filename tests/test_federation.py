@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from fedsim import data, federation, nn, selection
 from fedsim import rng as streams
-from fedsim.data import ClientPartition, PartitionSpec
+from fedsim.data import ClientPartition, PartitionSpec, partition_covers
 from fedsim.errors import ConfigError, NumericError, ParameterError, ProtocolError
 from fedsim.federation import (
     SECONDS_PER_FLOP,
@@ -28,9 +28,10 @@ from fedsim.federation import (
     fedprox_local_update,
     initial_model,
     pretrain,
+    participant_count,
+    plan_run,
     read_reports_csv,
     run_federation,
-    sample_participants,
     write_reports_csv,
 )
 from fedsim.rng import derive_rng, derive_seed
@@ -79,10 +80,16 @@ def opt_for(model, lr, momentum, prox_mu=0.0):
     return nn.OptimizerState.like(model.params, lr, momentum, prox_mu)
 
 
-def pretrained_run(config, source, train, parts, test, **kwargs):
-    """run_federation from `initial_model`: (reports, the trained global model)."""
+def small_plan(config, train, alpha=0.5):
+    """The plan of `config` on `train`, at small_setup's default alpha."""
+    return plan_run(config, train, alpha)
+
+
+def pretrained_run(config, source, train, test, **kwargs):
+    """run_federation of `small_plan` from `initial_model`: (reports, the
+    trained global model)."""
     model = initial_model(config, source, train)
-    return run_federation(config, model, train, parts, test, **kwargs), model
+    return run_federation(small_plan(config, train), model, test, **kwargs), model
 
 
 # --- config validation ------------------------------------------------------
@@ -660,40 +667,97 @@ def test_fold_rejects_a_broken_stream(updates, fault):
         fold.result()
 
 
-# --- participant sampling -------------------------------------------------------------
+# --- the run plan ------------------------------------------------------------------------
 
 
 def test_sample_participants_full_participation():
-    assert np.array_equal(sample_participants(7, 1.0, 3), np.arange(7))
+    _, train, _, _ = small_setup()
+    plan = small_plan(small_config(num_clients=7, rounds=3), train)
+    assert plan.participants == [list(range(7))] * 3
 
 
 def test_sample_participants_count_rule():
-    picked = sample_participants(100, 0.1, 9)
-    assert picked.shape == (10,)
-    assert len(set(picked.tolist())) == 10
+    _, train, _, _ = small_setup()
+    config = small_config(num_clients=100, participation_fraction=0.1, rounds=4)
+    for picked in small_plan(config, train).participants:
+        assert len(picked) == len(set(picked)) == 10
 
 
 def test_sample_participants_deterministic():
-    assert np.array_equal(sample_participants(50, 0.2, 4), sample_participants(50, 0.2, 4))
+    _, train, _, _ = small_setup()
+    config = small_config(num_clients=50, participation_fraction=0.2, rounds=3)
+    assert small_plan(config, train).participants == small_plan(config, train).participants
 
 
 def test_sample_participants_frequency():
-    hits = np.zeros(10)
+    _, train, _, _ = small_setup()
     rounds = 200
-    for seed in range(600, 600 + rounds):
-        for cid in sample_participants(10, 0.2, seed):
-            hits[cid] += 1
+    config = small_config(num_clients=10, participation_fraction=0.2, rounds=rounds)
+    hits = np.zeros(10)
+    for picked in small_plan(config, train).participants:
+        hits[picked] += 1
     rates = hits / rounds
     assert (np.abs(rates - 0.2) <= 0.06).all()
+
+
+@settings(max_examples=200)
+@given(
+    pool=st.integers(1, 60),
+    clients=st.integers(1, 60),
+    taking=st.integers(1, 60),
+    p_ds=st.floats(0.01, 1.0),
+    rounds=st.integers(0, 4),
+    strategy=st.sampled_from(list(federation.STRATEGIES)),
+)
+def test_the_plan_covers_the_pool_and_fixes_every_count(pool, clients, taking, p_ds, rounds,
+                                                         strategy):
+    clients = min(clients, pool)  # a pool smaller than the client count is rejected
+    taking = min(taking, clients)
+    config = small_config(strategy=strategy, num_clients=clients, rounds=rounds, p_ds=p_ds,
+                          participation_fraction=taking / clients)
+    train = data.Dataset(np.zeros((pool, 2)), np.arange(pool) % 3, 3)
+    plan = small_plan(config, train)
+    assert partition_covers(plan.partitions, pool)
+    assert [p.client_id for p in plan.partitions] == list(range(clients))
+    for part, kept in zip(plan.partitions, plan.kept, strict=True):
+        if strategy == "fedft_all":
+            assert kept == len(part)
+        else:
+            assert kept == selection.selection_count(len(part), p_ds)
+    assert participant_count(clients, config.participation_fraction) == taking
+    assert len(plan.participants) == rounds
+    for picked in plan.participants:
+        assert len(picked) == taking
+        assert picked == sorted(set(picked))
+        assert all(0 <= c < clients for c in picked)
+    whole = strategy in ("fedavg", "fedprox")
+    assert plan.split_index == (0 if whole else config.split_index)
+
+
+def test_a_pool_too_small_for_its_clients_cannot_be_planned():
+    _, train, _, _ = small_setup()
+    with pytest.raises(ParameterError, match=f"{len(train) + 1} clients"):
+        small_plan(small_config(num_clients=len(train) + 1), train)
+
+
+def test_each_round_runs_the_participants_and_kept_counts_of_its_plan():
+    source, train, test, _ = small_setup()
+    config = small_config(strategy="fedft_eds", rounds=4, participation_fraction=0.6)
+    plan = small_plan(config, train)
+    reports = run_federation(plan, initial_model(config, source, train), test)
+    assert len(reports) == len(plan.participants) == config.rounds
+    for report in reports:
+        assert report.participants == plan.participants[report.round - 1]
+        assert report.total_selected == sum(plan.kept[c] for c in report.participants)
 
 
 # --- run_federation ----------------------------------------------------------------------
 
 
 def test_run_zero_rounds_returns_pretrained_model():
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(rounds=0)
-    reports, final = pretrained_run(config, source, train, parts, test)
+    reports, final = pretrained_run(config, source, train, test)
     assert reports == []
     expected = pretrain(
         nn.build_mlp(8, config.hidden_sizes, 4, config.split_index,
@@ -743,14 +807,15 @@ def test_pretraining_trains_only_whole_models(monkeypatch):
 def test_the_run_sets_the_split_its_strategy_trains(strategy):
     # whatever split the start model was built at, the run trains the same
     # layers and ends at the strategy's own split
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy=strategy, split_index=2, rounds=2)
+    plan = small_plan(config, train)
     pretrained = initial_model(config, source, train)
     last_dense = nn.default_split_index(config.hidden_sizes)
     results = []
     for split in (0, config.split_index, last_dense):
         start = nn.Model(pretrained.layers, split, pretrained.num_classes)
-        reports = run_federation(config, start, train, parts, test)
+        reports = run_federation(plan, start, test)
         trained = 0 if strategy in ("fedavg", "fedprox") else config.split_index
         assert start.split_index == trained
         results.append((reports, start.params))
@@ -763,7 +828,6 @@ def test_single_client_fedavg_equals_centralized_training():
     pool = data.generate_synthetic(3, 40, 6, 2.0, seed=55)
     target, source = data.stratified_split(pool, 0.3, 56)
     train, test = data.stratified_split(target, 0.2, 57)
-    parts = [ClientPartition(0, np.arange(len(train)))]
     config = FederationConfig(
         strategy="fedavg",
         rounds=4,
@@ -781,7 +845,7 @@ def test_single_client_fedavg_equals_centralized_training():
         hidden_sizes=(12,),
         master_seed=91,
     )
-    _, final = pretrained_run(config, source, train, parts, test)
+    _, final = pretrained_run(config, source, train, test)
 
     # independent oracle: drive the nn primitives directly with the same
     # seed schedule (fresh momentum each round, per-epoch shuffles)
@@ -817,9 +881,9 @@ def test_single_client_fedavg_equals_centralized_training():
 def test_strategies_that_the_table_makes_equal_run_bitwise_equal(left, right):
     # small_config's p_ds is 0.5, which fedft_all ignores: it trains on
     # everything, and at p_ds 1 no selector pays for scoring
-    source, train, test, parts = small_setup()
-    reports_left, final_left = pretrained_run(small_config(**left), source, train, parts, test)
-    reports_right, final_right = pretrained_run(small_config(**right), source, train, parts, test)
+    source, train, test, _ = small_setup()
+    reports_left, final_left = pretrained_run(small_config(**left), source, train, test)
+    reports_right, final_right = pretrained_run(small_config(**right), source, train, test)
     assert reports_left == reports_right
     assert np.array_equal(final_left.params, final_right.params)
     if "fedft_all" in (left["strategy"], right["strategy"]):
@@ -827,7 +891,7 @@ def test_strategies_that_the_table_makes_equal_run_bitwise_equal(left, right):
 
 
 def test_phi_is_bitwise_constant_across_rounds():
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy="fedft_eds", rounds=4)
     final = initial_model(config, source, train)
     seen_phi, uploads = [], {}
@@ -837,7 +901,7 @@ def test_phi_is_bitwise_constant_across_rounds():
         seen_phi.append((final.layers[0].weights.copy(), final.layers[0].bias.copy()))
         uploads.setdefault(round_no, []).append(theta.copy())
 
-    run_federation(config, final, train, parts, test, upload_hook=hook)
+    run_federation(small_plan(config, train), final, test, upload_hook=hook)
     assert len(seen_phi) == config.rounds * config.num_clients
     reference_w, reference_b = seen_phi[0]
     for weights, bias in seen_phi[1:]:
@@ -850,25 +914,14 @@ def test_phi_is_bitwise_constant_across_rounds():
 
 
 def test_run_federation_deterministic_across_threads():
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(rounds=3)
-    reports_a, final_a = pretrained_run(config, source, train, parts, test, threads=1)
-    reports_b, final_b = pretrained_run(config, source, train, parts, test, threads=3)
+    reports_a, final_a = pretrained_run(config, source, train, test, threads=1)
+    reports_b, final_b = pretrained_run(config, source, train, test, threads=3)
     assert reports_a == reports_b
     for la, lb in zip(final_a.layers, final_b.layers):
         if isinstance(la, nn.DenseLayer):
             assert np.array_equal(la.weights, lb.weights)
-
-
-def test_run_federation_validates_partitions():
-    source, train, test, parts = small_setup()
-    config = small_config()
-    start = initial_model(config, source, train)
-    with pytest.raises(ConfigError):
-        run_federation(config, start, train, parts[:-1], test)
-    broken = parts[:-1] + [ClientPartition(4, parts[-1].sample_indices[:-1])]
-    with pytest.raises(ConfigError):
-        run_federation(config, start, train, broken, test)
 
 
 def _other_shape(dataset, feature_dim=None, num_classes=None):
@@ -888,16 +941,16 @@ def test_initial_model_rejects_a_source_unlike_train(change):
 
 @pytest.mark.parametrize("change", [dict(feature_dim=5), dict(num_classes=6)])
 def test_run_federation_rejects_a_test_set_unlike_train(change):
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config()
     start = initial_model(config, source, train)
     with pytest.raises(ConfigError, match="test dataset"):
-        run_federation(config, start, train, parts, _other_shape(test, **change))
+        run_federation(small_plan(config, train), start, _other_shape(test, **change))
 
 
 @pytest.mark.parametrize("mismatch", ["input width", "hidden sizes", "class count"])
 def test_run_federation_rejects_a_start_model_unlike_config_and_train(mismatch):
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config()
     widths = dict(input_dim=8, hidden_sizes=config.hidden_sizes, num_classes=4)
     if mismatch == "input width":
@@ -908,16 +961,16 @@ def test_run_federation_rejects_a_start_model_unlike_config_and_train(mismatch):
         widths["num_classes"] = 5
     start = nn.build_mlp(**widths, split_index=0, seed=1)
     with pytest.raises(ConfigError, match="start model"):
-        run_federation(config, start, train, parts, test)
+        run_federation(small_plan(config, train), start, test)
 
 
 def test_numeric_failure_names_round_and_client():
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(learning_rate=1e200, rounds=2, local_epochs=4, strategy="fedavg",
                           p_ds=1.0, pretrain_epochs=0)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match=r"round \d+, client \d+"):
-            pretrained_run(config, source, train, parts, test)
+            pretrained_run(config, source, train, test)
 
 
 @pytest.mark.parametrize(
@@ -925,19 +978,19 @@ def test_numeric_failure_names_round_and_client():
     [("fedavg", 2), ("fedprox", 1), ("fedprox", 2), ("fedft_eds", 1), ("fedft_eds", 2)],
 )
 def test_numeric_failure_names_round_and_client_for_each_trainer(strategy, threads):
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     # a head-only step grows theta by at most lr * |features|, so only an lr
     # near the float64 limit makes it overflow
     config = small_config(learning_rate=1e308, rounds=2, local_epochs=4, strategy=strategy,
                           pretrain_epochs=0)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match=r"round 1, client \d+: .*non-finite"):
-            pretrained_run(config, source, train, parts, test, threads=threads)
+            pretrained_run(config, source, train, test, threads=threads)
 
 
 def test_report_time_is_nondecreasing_and_accuracy_in_range():
-    source, train, test, parts = small_setup()
-    reports, _ = pretrained_run(small_config(rounds=4), source, train, parts, test)
+    source, train, test, _ = small_setup()
+    reports, _ = pretrained_run(small_config(rounds=4), source, train, test)
     times = [r.cumulative_client_train_time for r in reports]
     assert all(b >= a for a, b in zip(times, times[1:]))
     assert all(0.0 <= r.test_accuracy <= 1.0 for r in reports)
@@ -977,9 +1030,10 @@ def test_the_backward_charge_of_a_head_is_that_of_the_layers_from_its_split():
 @pytest.mark.parametrize("fraction", [1.0, 0.6])
 @pytest.mark.parametrize("strategy", federation.STRATEGIES)
 def test_device_time_charges_the_full_model_with_the_cache(strategy, fraction):
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy=strategy, rounds=3, participation_fraction=fraction)
-    reports, _ = pretrained_run(config, source, train, parts, test)
+    parts = small_plan(config, train).partitions
+    reports, _ = pretrained_run(config, source, train, test)
     # Only fedft_eds scores (one full forward per sample). Training costs the
     # full forward, frozen part included, plus the backward through what is
     # trained: everything for fedavg and fedprox, the head for the rest.
@@ -999,7 +1053,7 @@ def test_device_time_charges_the_full_model_with_the_cache(strategy, fraction):
 
 
 def test_frozen_layers_stay_the_pretrained_ones_with_the_cache():
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy="fedft_eds", rounds=2)
     final = initial_model(config, source, train)
     pretrained = final.copy()
@@ -1009,7 +1063,7 @@ def test_frozen_layers_stay_the_pretrained_ones_with_the_cache():
         # the global model as each client's upload is folded, and the upload
         hooked.append((final.copy(), theta.copy()))
 
-    run_federation(config, final, train, parts, test, upload_hook=hook)
+    run_federation(small_plan(config, train), final, test, upload_hook=hook)
     assert len(hooked) == config.rounds * config.num_clients
     for model in (final, *(global_model for global_model, _ in hooked)):
         assert model.split_index == config.split_index
@@ -1028,7 +1082,7 @@ def test_frozen_layers_stay_the_pretrained_ones_with_the_cache():
 
 def test_the_round_loop_builds_one_model_per_client_round(monkeypatch):
     # the local update's copy of the global head, and no model for the hook
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy="fedft_eds", rounds=3, participation_fraction=0.6)
     start = initial_model(config, source, train)
     copies, copy = [], nn.Model.copy
@@ -1039,14 +1093,14 @@ def test_the_round_loop_builds_one_model_per_client_round(monkeypatch):
 
     monkeypatch.setattr(nn.Model, "copy", counting)
     reports = run_federation(
-        config, start, train, parts, test, upload_hook=lambda r, c, theta: None
+        small_plan(config, train), start, test, upload_hook=lambda r, c, theta: None
     )
     assert sum(len(r.participants) for r in reports) == config.rounds * 3
     assert len(copies) == config.rounds * 3
 
 
 def test_pretrain_and_the_client_copies_are_laid_out_in_one_vector(monkeypatch, assert_laid_out):
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy="fedft_eds", rounds=1)
     start = initial_model(config, source, train)
     assert_laid_out(start)
@@ -1057,7 +1111,7 @@ def test_pretrain_and_the_client_copies_are_laid_out_in_one_vector(monkeypatch, 
         return step(model, opt, anchor)
 
     monkeypatch.setattr(nn, "sgd_step", spy)
-    run_federation(config, start, train, parts, test)
+    run_federation(small_plan(config, train), start, test)
     assert len(trained) == config.num_clients
     for client in trained.values():
         assert client.split_index == 0
@@ -1104,9 +1158,10 @@ def _uncached_rounds(config, source, train, parts, test):
 
 @pytest.mark.parametrize("strategy", ["fedavg", "fedprox"])
 def test_split_zero_reports_are_unchanged_by_the_cache(strategy):
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy=strategy, rounds=3, p_ds=0.5)
-    reports, final = pretrained_run(config, source, train, parts, test)
+    reports, final = pretrained_run(config, source, train, test)
+    parts = small_plan(config, train).partitions
     expected_rows, expected_model = _uncached_rounds(config, source, train, parts, test)
     rows = [(r.test_accuracy, r.test_loss, r.cumulative_client_train_time) for r in reports]
     assert rows == expected_rows
@@ -1130,7 +1185,7 @@ def test_a_round_holds_at_most_two_client_updates(monkeypatch):
             live.add(self)
 
     monkeypatch.setattr(federation, "ClientUpdate", TrackedUpdate)
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy="fedavg", rounds=3, p_ds=1.0)
     held = []
 
@@ -1138,7 +1193,7 @@ def test_a_round_holds_at_most_two_client_updates(monkeypatch):
         gc.collect()
         held.append(len(live))
 
-    pretrained_run(config, source, train, parts, test, threads=1, upload_hook=hook)
+    pretrained_run(config, source, train, test, threads=1, upload_hook=hook)
     assert len(held) == config.rounds * config.num_clients
     assert 1 <= max(held) <= 2
 
@@ -1156,7 +1211,7 @@ def test_a_slow_hook_holds_at_most_two_jobs_per_thread_ahead(monkeypatch, thread
             made_on.add(threading.current_thread())
 
     monkeypatch.setattr(federation, "ClientUpdate", TrackedUpdate)
-    source, train, test, parts = small_setup(num_clients=20)
+    source, train, test, _ = small_setup()
     config = small_config(strategy="fedavg", rounds=3, p_ds=1.0, num_clients=20)
     held = []
 
@@ -1167,7 +1222,7 @@ def test_a_slow_hook_holds_at_most_two_jobs_per_thread_ahead(monkeypatch, thread
         time.sleep(0.01)
         held.append(len(live))
 
-    pretrained_run(config, source, train, parts, test, threads=threads, upload_hook=hook)
+    pretrained_run(config, source, train, test, threads=threads, upload_hook=hook)
     assert len(held) == config.rounds * config.num_clients
     assert 1 <= max(held) <= 2 * threads + 1
     if threads == 1:  # every job runs inline, on the caller's thread
@@ -1185,7 +1240,7 @@ def test_worker_threads_allocate_no_head_sized_array(monkeypatch, strategy, thre
     # allocation made on a worker thread is as large as the trained head.
     # The head (64-64-4 whole, or above split 2) outweighs a job's rows and
     # activations.
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy=strategy, rounds=2, hidden_sizes=(64, 64), split_index=2)
     start = initial_model(config, source, train)
     largest, checked, step = [], set(), nn.sgd_step
@@ -1202,7 +1257,7 @@ def test_worker_threads_allocate_no_head_sized_array(monkeypatch, strategy, thre
     monkeypatch.setattr(nn, "sgd_step", checked_step)
     tracemalloc.start(32)
     try:
-        run_federation(config, start, train, parts, test, threads=threads)
+        run_federation(small_plan(config, train), start, test, threads=threads)
     finally:
         tracemalloc.stop()
     assert largest, "no step ran on a worker thread"
@@ -1213,7 +1268,7 @@ def test_worker_threads_allocate_no_head_sized_array(monkeypatch, strategy, thre
 def test_a_round_makes_one_optimizer_per_job_that_can_run_at_once(monkeypatch, strategy):
     # 8 threads but 3 participants per round: no more than 3 jobs run at
     # once, so a round makes 3 optimizers, each on the main thread
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy=strategy, rounds=2, participation_fraction=0.6)
     start = initial_model(config, source, train)
     made, like = [], nn.OptimizerState.like
@@ -1223,7 +1278,7 @@ def test_a_round_makes_one_optimizer_per_job_that_can_run_at_once(monkeypatch, s
         return like(params, *args)
 
     monkeypatch.setattr(nn.OptimizerState, "like", staticmethod(spy))
-    reports = run_federation(config, start, train, parts, test, threads=8)
+    reports = run_federation(small_plan(config, train), start, test, threads=8)
     assert [len(r.participants) for r in reports] == [3, 3]
     assert made == [(start.theta.shape, threading.main_thread())] * (3 * config.rounds)
 
@@ -1233,9 +1288,10 @@ def test_a_round_makes_one_optimizer_per_job_that_can_run_at_once(monkeypatch, s
 def test_a_failing_job_ends_the_run_and_its_workers(strategy, threads):
     # Twenty runs each: a job that starts after another has failed must
     # still find an optimizer and end, or the pool's shutdown waits on it.
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(learning_rate=1e308, rounds=2, local_epochs=4, strategy=strategy,
                           pretrain_epochs=0)
+    plan = small_plan(config, train)
     start = initial_model(config, source, train)
     before = set(threading.enumerate())
     for _ in range(20):
@@ -1244,7 +1300,7 @@ def test_a_failing_job_ends_the_run_and_its_workers(strategy, threads):
         def run():
             with np.errstate(all="ignore"):
                 try:
-                    run_federation(config, start.copy(), train, parts, test, threads=threads)
+                    run_federation(plan, start.copy(), test, threads=threads)
                 except NumericError as exc:
                     errors.append(exc)
 
@@ -1257,7 +1313,7 @@ def test_a_failing_job_ends_the_run_and_its_workers(strategy, threads):
 
 
 def test_hooks_fire_in_client_order_selection_first_with_three_threads():
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy="fedft_eds", rounds=3, participation_fraction=0.6)
     events, threads = [], set()
 
@@ -1268,7 +1324,7 @@ def test_hooks_fire_in_client_order_selection_first_with_three_threads():
         return hook
 
     reports, _ = pretrained_run(
-        config, source, train, parts, test, threads=3,
+        config, source, train, test, threads=3,
         upload_hook=record("upload"), selection_hook=record("selection"),
     )
     assert threads == {threading.main_thread()}
@@ -1283,9 +1339,10 @@ def test_hooks_fire_in_client_order_selection_first_with_three_threads():
 
 
 def test_reports_round_trip_through_csv(tmp_path):
-    source, train, test, parts = small_setup()
+    source, train, test, _ = small_setup()
     config = small_config(strategy="fedft_rds", rounds=3, participation_fraction=0.6)
-    reports, _ = pretrained_run(config, source, train, parts, test)
+    parts = small_plan(config, train).partitions
+    reports, _ = pretrained_run(config, source, train, test)
     for report in reports:
         assert report.total_selected == sum(
             selection.selection_count(len(parts[c]), config.p_ds) for c in report.participants
