@@ -423,8 +423,8 @@ def _round_one_capture(start: nn.Model):
 @contextmanager
 def _staged(out: Path, outputs: dict[str, Path]):
     """Make the output directory `out`, with any missing parents, and yield
-    it with `stage(name)`, the temporary path that output `name` is written
-    to, next to its final path in it; `outputs` gets the final path.
+    it with `stage(path)`, the temporary path beside `path` (inside `out`
+    when relative) that its output is written to; `outputs` gets `path`.
 
     When the block exits normally every staged file is renamed into place;
     when it raises, every one is deleted, then every directory made here,
@@ -435,10 +435,11 @@ def _staged(out: Path, outputs: dict[str, Path]):
     out_dir.mkdir(parents=True, exist_ok=True)
     staged: dict[Path, Path] = {}
 
-    def stage(name: str) -> Path:
-        outputs[name] = out_dir / name
-        staged[outputs[name]] = out_dir / f"{name}.tmp"
-        return staged[outputs[name]]
+    def stage(path: str | Path) -> Path:
+        final = out_dir / path  # an absolute path stays as it is
+        outputs[final.name] = final
+        staged[final] = final.with_name(f"{final.name}.tmp")
+        return staged[final]
 
     try:
         yield out_dir, stage
@@ -492,13 +493,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = build_config(args)
     started = _utc_now()
     source, target = _build_datasets(config)  # built first: one that fails makes no directory
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _dataset_paths(config, out_dir)
-    source_path, target_path = outputs.values()
-    save_dataset(source, source_path)
-    save_dataset(target, target_path)
+    outputs: dict[str, Path] = {}
+    with _staged(args.out, outputs) as (out_dir, stage):
+        save_dataset(source, stage(config.dataset["source_path"]))
+        save_dataset(target, stage(config.dataset["target_path"]))
     write_manifest(out_dir, "generate", config, {}, outputs, started)
+    source_path, target_path = outputs.values()
     print(f"wrote {source_path} ({len(source)} samples) and {target_path} ({len(target)} samples)")
     return 0
 

@@ -3,7 +3,8 @@
 `plan_run` fixes all a run decides before it trains, from the config and the
 training pool alone: the clients' partitions, the entry of `STRATEGIES` that
 the strategy name stands for (the part trained, the selector and the FedProx
-pull), each client's kept count and each round's participants. The caller
+pull), each client's kept count and each round's participants; the
+selectors pick which rows a client keeps, never how many. The caller
 builds the start model once with `initial_model` (built from the master
 seed, then pretrained whole on the source domain, the same for every
 strategy); `run_federation` sets the split the plan trains and trains it in
@@ -31,6 +32,7 @@ import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,9 +42,7 @@ from . import rng as streams
 from .data import ClientPartition, Dataset, PartitionSpec, dirichlet_partition, write_csv
 from .errors import ConfigError, NumericError, ParameterError, ProtocolError
 from .rng import derive_rng, derive_seed
-from .selection import (
-    SelectionResult, select_all, select_by_entropy, select_random, selection_count
-)
+from .selection import SelectionResult, select_by_entropy, select_random
 
 log = logging.getLogger("fedsim.federation")
 
@@ -54,7 +54,7 @@ class Strategy:
     """The three choices a strategy name stands for."""
 
     whole_model: bool  # train every layer, or only the head above split_index
-    selector: str  # "entropy", "random" or "all" (which keeps p_ds 1)
+    selector: str  # "entropy", "random" or "all" (which keeps every row)
     proximal: bool  # add the FedProx pull prox_mu * (theta - theta_t)
 
 
@@ -211,7 +211,8 @@ def pretrain(
     opt = nn.OptimizerState.like(trained.params, learning_rate, momentum)
     epoch_seeds = [derive_seed(seed, epoch) for epoch in range(epochs)]
     try:
-        _run_epochs(trained, source.features, source.labels, batch_size, epoch_seeds, opt)
+        with np.errstate(over="ignore", invalid="ignore"):  # NumericError reports divergence
+            _run_epochs(trained, source.features, source.labels, batch_size, epoch_seeds, opt)
     except NumericError as exc:
         raise NumericError(f"pretraining: {exc}") from exc
     return trained
@@ -339,6 +340,15 @@ def aggregate(updates: list[ClientUpdate]) -> np.ndarray:
     return fold.result()
 
 
+def selection_count(n: int, p_ds: float) -> int:
+    """Number of samples to keep: max(1, floor(p_ds * n)).
+
+    The floor is taken of the exact product with p_ds as the decimal it is
+    written as, so 0.29 of 100 is 29 (binary floating point gives 28).
+    """
+    return max(1, math.floor(Fraction(str(float(p_ds))) * n))
+
+
 def participant_count(num_clients: int, participation_fraction: float) -> int:
     """How many clients take part in a round: max(1, round(f_n * N)), at most N."""
     return min(num_clients, max(1, round(participation_fraction * num_clients)))
@@ -355,7 +365,6 @@ class RunPlan:
     partitions: list[ClientPartition]
     split_index: int  # the first layer trained: 0 for the whole model
     selector: str  # "entropy", "random", or "all" at p_ds 1, where none scores
-    p_ds: float
     prox_mu: float  # 0 for a strategy with no pull
     kept: list[int]
     participants: list[list[int]]
@@ -378,7 +387,6 @@ def plan_run(config: FederationConfig, train: Dataset, alpha: float) -> RunPlan:
         partitions=partitions,
         split_index=0 if strategy.whole_model else config.split_index,
         selector="all" if p_ds >= 1.0 else strategy.selector,
-        p_ds=p_ds,
         prox_mu=config.prox_mu if strategy.proximal else 0.0,
         kept=[selection_count(len(part), p_ds) for part in partitions],
         participants=[
@@ -457,7 +465,10 @@ def run_federation(
             f"need {widths}"
         )
 
-    master, selector, p_ds = config.master_seed, plan.selector, plan.p_ds
+    master, selector = config.master_seed, plan.selector
+    # the random selector's seed for each round, derived once for all its clients
+    rounds = range(1, config.rounds + 1) if selector == "random" else ()
+    selection_seeds = [derive_seed(master, streams.SELECTION, r) for r in rounds]
     start.split_index = plan.split_index
     # The head is stored in `start.theta`: aggregating into the head updates
     # `start`, which stays the global model, frozen part and all.
@@ -491,13 +502,13 @@ def run_federation(
         (selection, update). A NumericError names the round and the client."""
         opt = opts.get(block=False)  # never empty: one per job that can run at once
         try:
-            part = partitions[client_id]
+            part, kept = partitions[client_id], plan.kept[client_id]
             if selector == "entropy":
-                chosen = select_by_entropy(head, train_rows, part, p_ds, config.rho)
+                chosen = select_by_entropy(head, train_rows, part, kept, config.rho)
             elif selector == "random":
-                chosen = select_random(part, p_ds, derive_seed(master, streams.SELECTION, round_no))
+                chosen = select_random(part, kept, selection_seeds[round_no - 1])
             else:
-                chosen = select_all(part)
+                chosen = SelectionResult(part.sample_indices, None)
             subset = train_rows.subset(chosen.selected_indices)
             epoch_seeds = [
                 derive_seed(master, streams.SHUFFLE, round_no, client_id, epoch)
@@ -513,7 +524,8 @@ def run_federation(
         return chosen, update
 
     # No worker thread starts unless a job is submitted, i.e. threads > 1.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # A step that diverges raises NumericError, so numpy does not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(threads) as pool:
 
         def client_rounds(round_no: int, clients: list[int]):
             """client_round for each client in client order; at threads > 1 at

@@ -1,5 +1,7 @@
 """Per-round client data selection.
 
+A selector picks which of a client's samples it trains on; how many, k, is
+the run plan's (`federation.plan_run`), and each selector keeps exactly k.
 The entropy strategy runs one forward pass over the client's samples, turns
 the logits into probabilities with the temperature-scaled softmax and keeps
 the k highest-entropy samples. Temperatures below 1 sharpen the
@@ -10,9 +12,7 @@ uncertain ones near the top. The random strategy is the matched baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,17 +35,10 @@ class SelectionResult:
     entropies: np.ndarray | None
 
 
-def selection_count(n: int, p_ds: float) -> int:
-    """Number of samples to keep: max(1, floor(p_ds * n)).
-
-    The floor is taken of the exact product with p_ds as the decimal it is
-    written as, so 0.29 of 100 is 29 (binary floating point gives 28).
-    """
-    if not 0.0 < p_ds <= 1.0:
-        raise ParameterError(f"p_ds must be in (0, 1], got {p_ds}")
-    if n < 1:
-        raise ParameterError("cannot select from an empty client")
-    return max(1, math.floor(Fraction(str(float(p_ds))) * n))
+def _check_count(client: ClientPartition, k: int) -> None:
+    """ParameterError unless 1 <= k <= the client's sample count."""
+    if not 1 <= k <= len(client):
+        raise ParameterError(f"client {client.client_id} cannot keep {k} of {len(client)} samples")
 
 
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
@@ -74,29 +67,21 @@ def select_by_entropy(
     model: nn.Model,
     dataset: Dataset,
     client: ClientPartition,
-    p_ds: float,
+    k: int,
     rho: float,
 ) -> SelectionResult:
     """Entropy-based selection: one forward pass, hardened softmax, top k."""
+    _check_count(client, k)
     indices = client.sample_indices
-    k = selection_count(indices.size, p_ds)
     logits = nn.layer_output(model, dataset.features[indices], len(model.layers))
     probs = nn.softmax_with_temperature(logits, rho)
     entropies = entropy_rows(probs)
     return SelectionResult(top_k_by_entropy(indices, entropies, k), entropies)
 
 
-def select_random(client: ClientPartition, p_ds: float, round_seed: int) -> SelectionResult:
-    """Uniform selection without replacement, fixed by (round_seed, client_id)."""
-    indices = client.sample_indices
-    k = selection_count(indices.size, p_ds)
+def select_random(client: ClientPartition, k: int, round_seed: int) -> SelectionResult:
+    """Uniform selection of k without replacement, fixed by (round_seed, client_id)."""
+    _check_count(client, k)
     rng = derive_rng(round_seed, client.client_id)
-    picked = rng.choice(indices, size=k, replace=False)
+    picked = rng.choice(client.sample_indices, size=k, replace=False)
     return SelectionResult(np.sort(picked), None)
-
-
-def select_all(client: ClientPartition) -> SelectionResult:
-    """Keep everything (p_ds = 1); used when no selection is configured."""
-    if client.sample_indices.size < 1:
-        raise ParameterError("cannot select from an empty client")
-    return SelectionResult(np.asarray(client.sample_indices, dtype=np.int64).copy(), None)

@@ -19,6 +19,7 @@ from fedsim.federation import (
     aggregate,
     initial_model,
     run_federation,
+    selection_count,
 )
 
 SEEDS = (101, 102, 103, 104, 105)
@@ -208,7 +209,8 @@ def test_criterion_2_oracle_equivalence():
         client = data.ClientPartition(client_id=0, sample_indices=indices)
         p_ds = float(rng.uniform(0.02, 1.0))
         rho = float(rng.uniform(0.05, 3.0))
-        result = selection.select_by_entropy(model, dataset, client, p_ds, rho)
+        kept = selection_count(size, p_ds)  # the plan's count; the oracle takes its own
+        result = selection.select_by_entropy(model, dataset, client, kept, rho)
         logits, _ = nn.forward(model, dataset.features[indices])
         probs = nn.softmax_with_temperature(logits, rho)
         entropies = selection.entropy_rows(probs)

@@ -236,6 +236,26 @@ def test_a_generate_that_fails_makes_no_directory(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
+def test_a_generate_that_fails_to_write_leaves_nothing_behind(tmp_path, capsys):
+    # the source is written before the target's directory is found missing
+    out = tmp_path / "new" / "gen"
+    target = tmp_path / "missing" / "t.feds"
+    assert run_cli(["generate", "--out", out, "--seed", 5, *TINY,
+                    "--dataset.target_path", target]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_writes_a_dataset_given_by_absolute_path_outside_out(tmp_path):
+    target = tmp_path / "elsewhere" / "t.feds"
+    target.parent.mkdir()
+    generate(tmp_path / "gen", extra=["--dataset.target_path", target])
+    assert sorted(p.name for p in (tmp_path / "gen").iterdir()) == ["manifest.json", "source.feds"]
+    assert list(target.parent.iterdir()) == [target]
+    manifest = json.loads((tmp_path / "gen" / "manifest.json").read_text())
+    assert manifest["outputs"]["t.feds"] == cli._sha256(target)
+
+
 def _in_a_new_directory(tmp_path, command, *flags):
     """Exit code of `command` on TINY files generated in tmp_path/gen and
     given by absolute path, with --out tmp_path/new/out, two levels of it new."""
@@ -253,11 +273,35 @@ def _in_a_new_directory(tmp_path, command, *flags):
      "error: round 1, client 0: forward pass produced non-finite logits"),
 ], ids=["pretraining", "round 1"])
 def test_a_run_that_diverges_leaves_no_output_directory(tmp_path, capsys, flags, message):
-    with np.errstate(all="ignore"):
-        code = _in_a_new_directory(tmp_path, "run", "--federation.learning_rate", "1e200", *flags)
+    code = _in_a_new_directory(tmp_path, "run", "--federation.learning_rate", "1e200", *flags)
     assert code == 2
     assert capsys.readouterr().err.strip() == message
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "error: pretraining: forward pass produced non-finite logits"),
+    *(
+        (["--federation.pretrain_epochs", "0", "--p-ds", "1.0", "--strategy", "fedavg",
+          "--threads", threads],
+         "error: round 1, client 0: forward pass produced non-finite logits")
+        for threads in ("1", "2")
+    ),
+], ids=["pretraining", "round 1, 1 thread", "round 1, 2 threads"])
+def test_a_run_that_diverges_prints_only_its_error_line(tmp_path, flags, message):
+    # in a child, where numpy's warnings print as they would for a user
+    generate(tmp_path / "gen")
+    paths = [tmp_path / "gen" / "source.feds", tmp_path / "gen" / "target.feds"]
+    done = subprocess.run(
+        [sys.executable, "-m", "fedsim", "run", "--out", str(tmp_path / "out"), "--seed", "5",
+         *TINY, "--federation.learning_rate", "1e200", *flags,
+         "--dataset.source_path", str(paths[0]), "--dataset.target_path", str(paths[1])],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (2, message + "\n", "")
 
 
 @pytest.mark.parametrize("command", ["run", "analyze-cka"])

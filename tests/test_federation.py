@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedsim import data, federation, nn, selection
+from fedsim import data, federation, nn
 from fedsim import rng as streams
 from fedsim.data import ClientPartition, PartitionSpec, partition_covers
 from fedsim.errors import ConfigError, NumericError, ParameterError, ProtocolError
@@ -32,9 +32,11 @@ from fedsim.federation import (
     plan_run,
     read_reports_csv,
     run_federation,
+    selection_count,
     write_reports_csv,
 )
 from fedsim.rng import derive_rng, derive_seed
+from fedsim.selection import select_random
 
 
 def small_setup(num_classes=4, samples_per_class=60, dim=8, sep=3.0, seed=77,
@@ -103,6 +105,7 @@ def test_config_rejects_bad_values():
         dict(participation_fraction=0.0),
         dict(participation_fraction=1.5),
         dict(p_ds=0.0),
+        dict(p_ds=1.2),
         dict(rho=0.0),
         dict(learning_rate=0.0),
         dict(momentum=1.0),
@@ -670,26 +673,35 @@ def test_fold_rejects_a_broken_stream(updates, fault):
 # --- the run plan ------------------------------------------------------------------------
 
 
-def test_sample_participants_full_participation():
+def test_selection_count_rule():
+    assert selection_count(7, 0.5) == 3
+    assert selection_count(7, 1.0) == 7
+    assert selection_count(3, 0.01) == 1  # never empty
+    # floor of the decimal product; binary floating point gives 28 and 56
+    assert selection_count(100, 0.29) == 29
+    assert selection_count(100, 0.57) == 57
+
+
+def test_plan_participants_full_participation():
     _, train, _, _ = small_setup()
     plan = small_plan(small_config(num_clients=7, rounds=3), train)
     assert plan.participants == [list(range(7))] * 3
 
 
-def test_sample_participants_count_rule():
+def test_plan_participants_count_rule():
     _, train, _, _ = small_setup()
     config = small_config(num_clients=100, participation_fraction=0.1, rounds=4)
     for picked in small_plan(config, train).participants:
         assert len(picked) == len(set(picked)) == 10
 
 
-def test_sample_participants_deterministic():
+def test_plan_participants_deterministic():
     _, train, _, _ = small_setup()
     config = small_config(num_clients=50, participation_fraction=0.2, rounds=3)
     assert small_plan(config, train).participants == small_plan(config, train).participants
 
 
-def test_sample_participants_frequency():
+def test_plan_participants_frequency():
     _, train, _, _ = small_setup()
     rounds = 200
     config = small_config(num_clients=10, participation_fraction=0.2, rounds=rounds)
@@ -723,7 +735,7 @@ def test_the_plan_covers_the_pool_and_fixes_every_count(pool, clients, taking, p
         if strategy == "fedft_all":
             assert kept == len(part)
         else:
-            assert kept == selection.selection_count(len(part), p_ds)
+            assert kept == selection_count(len(part), p_ds)
     assert participant_count(clients, config.participation_fraction) == taking
     assert len(plan.participants) == rounds
     for picked in plan.participants:
@@ -732,6 +744,25 @@ def test_the_plan_covers_the_pool_and_fixes_every_count(pool, clients, taking, p
         assert all(0 <= c < clients for c in picked)
     whole = strategy in ("fedavg", "fedprox")
     assert plan.split_index == (0 if whole else config.split_index)
+
+
+def test_a_random_selection_run_derives_one_selection_seed_per_round(monkeypatch):
+    # every client of a round draws its rows from the round's one seed
+    source, train, test, _ = small_setup()
+    config = small_config(strategy="fedprox", rounds=4, participation_fraction=0.6)
+    start, plan = initial_model(config, source, train), small_plan(config, train)
+    derived, real = [], federation.derive_seed
+
+    def spy(*path):
+        derived.append(path)
+        return real(*path)
+
+    monkeypatch.setattr(federation, "derive_seed", spy)
+    reports = run_federation(plan, start, test)
+    assert [len(r.participants) for r in reports] == [3] * config.rounds
+    selections = [path for path in derived if path[1:2] == (streams.SELECTION,)]
+    rounds = range(1, config.rounds + 1)
+    assert selections == [(config.master_seed, streams.SELECTION, r) for r in rounds]
 
 
 def test_a_pool_too_small_for_its_clients_cannot_be_planned():
@@ -968,9 +999,8 @@ def test_numeric_failure_names_round_and_client():
     source, train, test, _ = small_setup()
     config = small_config(learning_rate=1e200, rounds=2, local_epochs=4, strategy="fedavg",
                           p_ds=1.0, pretrain_epochs=0)
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericError, match=r"round \d+, client \d+"):
-            pretrained_run(config, source, train, test)
+    with pytest.raises(NumericError, match=r"round \d+, client \d+"):
+        pretrained_run(config, source, train, test)
 
 
 @pytest.mark.parametrize(
@@ -983,9 +1013,8 @@ def test_numeric_failure_names_round_and_client_for_each_trainer(strategy, threa
     # near the float64 limit makes it overflow
     config = small_config(learning_rate=1e308, rounds=2, local_epochs=4, strategy=strategy,
                           pretrain_epochs=0)
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericError, match=r"round 1, client \d+: .*non-finite"):
-            pretrained_run(config, source, train, test, threads=threads)
+    with pytest.raises(NumericError, match=r"round 1, client \d+: .*non-finite"):
+        pretrained_run(config, source, train, test, threads=threads)
 
 
 def test_report_time_is_nondecreasing_and_accuracy_in_range():
@@ -1130,8 +1159,10 @@ def _uncached_rounds(config, source, train, parts, test):
         updates = []
         for part in parts:
             cid = part.client_id
-            chosen = selection.select_random(
-                part, config.p_ds, derive_seed(master, streams.SELECTION, round_no)
+            chosen = select_random(
+                part,
+                selection_count(len(part), config.p_ds),
+                derive_seed(master, streams.SELECTION, round_no),
             )
             subset = train.subset(chosen.selected_indices)
             seeds = [
@@ -1298,11 +1329,10 @@ def test_a_failing_job_ends_the_run_and_its_workers(strategy, threads):
         errors = []
 
         def run():
-            with np.errstate(all="ignore"):
-                try:
-                    run_federation(plan, start.copy(), test, threads=threads)
-                except NumericError as exc:
-                    errors.append(exc)
+            try:
+                run_federation(plan, start.copy(), test, threads=threads)
+            except NumericError as exc:
+                errors.append(exc)
 
         runner = threading.Thread(target=run, daemon=True)
         runner.start()
@@ -1345,7 +1375,7 @@ def test_reports_round_trip_through_csv(tmp_path):
     reports, _ = pretrained_run(config, source, train, test)
     for report in reports:
         assert report.total_selected == sum(
-            selection.selection_count(len(parts[c]), config.p_ds) for c in report.participants
+            selection_count(len(parts[c]), config.p_ds) for c in report.participants
         )
     path = tmp_path / "reports.csv"
     write_reports_csv(reports, config.strategy, path)

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import data, nn, selection
+from fedsim import data, federation, nn, selection
 from fedsim.data import ClientPartition
 from fedsim.errors import ParameterError
 
 
-def brute_force_selection(sample_indices, entropies, p_ds):
-    """Independent oracle: score everything, full sort, take the prefix."""
-    k = max(1, int(math.floor(p_ds * len(sample_indices))))
+def brute_force_selection(sample_indices, entropies, k):
+    """Independent oracle: score everything, full sort, take the prefix of k."""
     ranked = sorted(zip(sample_indices, entropies), key=lambda t: (-t[1], t[0]))
     return sorted(idx for idx, _ in ranked[:k])
 
@@ -87,19 +86,6 @@ def test_top_k_tie_breaks_by_ascending_index():
     assert list(chosen) == [1, 2]
 
 
-def test_selection_count_rule():
-    assert selection.selection_count(7, 0.5) == 3
-    assert selection.selection_count(7, 1.0) == 7
-    assert selection.selection_count(3, 0.01) == 1  # never empty
-    # floor of the decimal product; binary floating point gives 28 and 56
-    assert selection.selection_count(100, 0.29) == 29
-    assert selection.selection_count(100, 0.57) == 57
-    with pytest.raises(ParameterError):
-        selection.selection_count(5, 0.0)
-    with pytest.raises(ParameterError):
-        selection.selection_count(5, 1.2)
-
-
 # --- entropy-based selection ------------------------------------------------------
 
 
@@ -107,7 +93,7 @@ def test_select_by_entropy_full_fraction_keeps_all_in_order():
     ds = data.generate_synthetic(3, 20, 5, 2.0, seed=1)
     model = nn.build_mlp(5, (8,), 3, split_index=0, seed=2)
     client = random_client(np.random.default_rng(3), len(ds), 12)
-    result = selection.select_by_entropy(model, ds, client, 1.0, 0.5)
+    result = selection.select_by_entropy(model, ds, client, 12, 0.5)
     assert np.array_equal(result.selected_indices, client.sample_indices)
     assert len(result.entropies) == 12
 
@@ -118,13 +104,13 @@ def test_select_by_entropy_matches_brute_force_oracle():
     for trial in range(30):
         model = nn.build_mlp(6, (10,), 4, split_index=0, seed=int(rng.integers(1 << 30)))
         client = random_client(rng, len(ds), int(rng.integers(2, 180)))
-        p_ds = float(rng.uniform(0.05, 1.0))
+        k = int(rng.integers(1, len(client) + 1))
         rho = float(rng.uniform(0.05, 2.0))
-        result = selection.select_by_entropy(model, ds, client, p_ds, rho)
+        result = selection.select_by_entropy(model, ds, client, k, rho)
         logits, _ = nn.forward(model, ds.features[client.sample_indices])
         probs = nn.softmax_with_temperature(logits, rho)
         entropies = [-(p[p > 0] * np.log(p[p > 0])).sum() for p in probs]
-        expected = brute_force_selection(list(client.sample_indices), entropies, p_ds)
+        expected = brute_force_selection(list(client.sample_indices), entropies, k)
         assert list(result.selected_indices) == expected, f"trial {trial}"
 
 
@@ -133,7 +119,7 @@ def test_select_by_entropy_reports_entropy_of_every_client_sample():
     model = nn.build_mlp(6, (10,), 4, split_index=0, seed=22)
     client = random_client(np.random.default_rng(23), len(ds), 50)
     rho = 0.3
-    result = selection.select_by_entropy(model, ds, client, 0.4, rho)
+    result = selection.select_by_entropy(model, ds, client, 20, rho)
     assert result.entropies.shape == client.sample_indices.shape
     for i, idx in enumerate(client.sample_indices):
         logits, _ = nn.forward(model, ds.features[idx : idx + 1])
@@ -147,10 +133,10 @@ def test_selection_invariant_to_logit_shift():
     ds = data.generate_synthetic(3, 30, 5, 1.0, seed=9)
     model = nn.build_mlp(5, (8,), 3, split_index=0, seed=10)
     client = random_client(np.random.default_rng(11), len(ds), 40)
-    before = selection.select_by_entropy(model, ds, client, 0.4, 0.3)
+    before = selection.select_by_entropy(model, ds, client, 16, 0.3)
     shifted = model.copy()
     shifted.layers[-1].bias[...] += 17.5
-    after = selection.select_by_entropy(shifted, ds, client, 0.4, 0.3)
+    after = selection.select_by_entropy(shifted, ds, client, 16, 0.3)
     assert np.array_equal(before.selected_indices, after.selected_indices)
 
 
@@ -174,32 +160,32 @@ def test_hardening_reduces_high_entropy_population():
 
 def test_select_random_full_fraction():
     client = ClientPartition(0, np.arange(9))
-    result = selection.select_random(client, 1.0, round_seed=5)
+    result = selection.select_random(client, 9, round_seed=5)
     assert np.array_equal(result.selected_indices, np.arange(9))
     assert result.entropies is None
 
 
 def test_select_random_count_rule():
     client = ClientPartition(3, np.arange(100, 107))
-    result = selection.select_random(client, 0.5, round_seed=8)
+    result = selection.select_random(client, 3, round_seed=8)
     assert len(result.selected_indices) == 3
     assert set(result.selected_indices) <= set(range(100, 107))
 
 
 def test_select_random_deterministic_per_seed_and_client():
     client = ClientPartition(2, np.arange(50))
-    a = selection.select_random(client, 0.3, round_seed=99)
-    b = selection.select_random(client, 0.3, round_seed=99)
+    a = selection.select_random(client, 15, round_seed=99)
+    b = selection.select_random(client, 15, round_seed=99)
     assert np.array_equal(a.selected_indices, b.selected_indices)
     other_client = ClientPartition(5, np.arange(50))
-    c = selection.select_random(other_client, 0.3, round_seed=99)
+    c = selection.select_random(other_client, 15, round_seed=99)
     assert not np.array_equal(a.selected_indices, c.selected_indices)
 
 
 def test_select_random_varies_across_seeds():
     client = ClientPartition(0, np.arange(20))
     picks = {
-        tuple(selection.select_random(client, 0.5, round_seed=s).selected_indices)
+        tuple(selection.select_random(client, 10, round_seed=s).selected_indices)
         for s in range(100)
     }
     # C(20,10) is huge; collisions among 100 draws should be rare
@@ -210,9 +196,23 @@ def test_entropy_and_random_agree_at_full_fraction():
     ds = data.generate_synthetic(3, 20, 5, 1.0, seed=20)
     model = nn.build_mlp(5, (8,), 3, split_index=0, seed=21)
     client = random_client(np.random.default_rng(22), len(ds), 15)
-    by_entropy = selection.select_by_entropy(model, ds, client, 1.0, 1.0)
-    by_random = selection.select_random(client, 1.0, round_seed=1)
+    by_entropy = selection.select_by_entropy(model, ds, client, 15, 1.0)
+    by_random = selection.select_random(client, 15, round_seed=1)
     assert np.array_equal(by_entropy.selected_indices, by_random.selected_indices)
+
+
+@pytest.mark.parametrize("selector", ["entropy", "random"])
+@pytest.mark.parametrize("extra", [-7, 1])  # k of 0 and one more than the client holds
+def test_a_count_the_client_cannot_give_is_rejected(selector, extra):
+    ds = data.generate_synthetic(3, 20, 5, 1.0, seed=24)
+    model = nn.build_mlp(5, (8,), 3, split_index=0, seed=25)
+    client = random_client(np.random.default_rng(26), len(ds), 7, client_id=4)
+    k = 7 + extra
+    with pytest.raises(ParameterError, match=f"client 4 cannot keep {k} of 7 samples$"):
+        if selector == "entropy":
+            selection.select_by_entropy(model, ds, client, k, 1.0)
+        else:
+            selection.select_random(client, k, round_seed=1)
 
 
 # --- properties ----------------------------------------------------------------------
@@ -225,22 +225,24 @@ POOL = data.generate_synthetic(3, 40, 5, 1.5, seed=30)
 @PROPERTY
 @given(st.integers(1, 120), FRACTIONS, st.integers(0, 2**32), st.integers(0, 2**32))
 def test_every_selector_keeps_the_selection_count_from_the_client(n, p_ds, seed, round_seed):
-    # run_federation weights its fold by selection_count before any client selects
+    # run_federation weights its fold by the plan's kept count, the k it hands
+    # the selector, before any client selects
     rng = np.random.default_rng(seed)
     client = random_client(rng, len(POOL), n, client_id=int(rng.integers(100)))
     model = nn.build_mlp(5, (6,), 3, split_index=0, seed=seed)
-    k = selection.selection_count(n, p_ds)
-    for result in (
-        selection.select_by_entropy(model, POOL, client, p_ds, float(rng.uniform(0.05, 2.0))),
-        selection.select_random(client, p_ds, round_seed),
+    rho = float(rng.uniform(0.05, 2.0))
+    k = federation.selection_count(n, p_ds)
+    for select in (
+        lambda k: selection.select_by_entropy(model, POOL, client, k, rho),
+        lambda k: selection.select_random(client, k, round_seed),
     ):
-        picked = result.selected_indices
+        picked = select(k).selected_indices
         assert len(picked) == k
         assert (np.diff(picked) > 0).all()
         assert np.isin(picked, client.sample_indices).all()
-    kept = selection.select_all(client).selected_indices
-    assert len(kept) == selection.selection_count(n, 1.0) == n
-    assert np.array_equal(kept, client.sample_indices)
+        for bad in (0, n + 1):
+            with pytest.raises(ParameterError):
+                select(bad)
 
 
 @PROPERTY

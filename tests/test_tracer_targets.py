@@ -49,3 +49,29 @@ def test_planning_a_run_records_one_partition_span():
     with tracer.installed():
         federation.plan_run(config, train, 0.5)
     assert [span.key for span in tracer.spans].count("data.partition") == 1
+
+
+def test_a_traced_run_counts_the_rows_each_entropy_selection_scores_and_keeps():
+    # the counters read the selectors' real arguments and results, so a
+    # signature they no longer fit shows here, not only in a benchmark run
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    pool = data.generate_synthetic(4, 40, 8, 2.0, seed=5)
+    target, source = data.stratified_split(pool, 0.4, 6)
+    train, test = data.stratified_split(target, 0.2, 7)
+    config = federation.FederationConfig(
+        strategy="fedft_eds", rounds=2, local_epochs=1, num_clients=5,
+        participation_fraction=0.6, p_ds=0.5, rho=0.1, learning_rate=0.1, momentum=0.5,
+        prox_mu=0.01, batch_size=8, pretrain_epochs=3, split_index=4, hidden_sizes=(12, 12),
+        master_seed=5,
+    )
+    plan = federation.plan_run(config, train, 0.5)
+    start = federation.initial_model(config, source, train)
+    with tracer.installed():
+        federation.run_federation(plan, start, test, threads=2)
+    assert tracer.counter_errors == set()
+    counts = [span.counts for span in tracer.spans if span.key == "selection.entropy"]
+    clients = [c for participants in plan.participants for c in participants]
+    assert len(counts) == len(clients) == 6
+    assert sum(c["rows"] for c in counts) == sum(len(plan.partitions[c]) for c in clients)
+    assert sum(c["kept"] for c in counts) == sum(plan.kept[c] for c in clients)
